@@ -16,7 +16,8 @@ from .series import TruncatedSeries
 from .weighted import (WeightedCounts, prescribed_fertility_count,
                        weighted_counts, weighted_counts_recursive,
                        weighted_series)
-from .ordinary import (h_series, ordinary_count, ordinary_series)
+from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
+                       ordinary_series)
 from .lowering import (apply_lowering, c_coefficient, c_coefficient_tables,
                        coefficient_gf, d_coefficient, d_coefficient_recursive,
                        lowering_power, transition_gf, transport_arrays)
@@ -30,7 +31,7 @@ __all__ = [
     "TruncatedSeries",
     "WeightedCounts", "prescribed_fertility_count", "weighted_counts",
     "weighted_counts_recursive", "weighted_series",
-    "h_series", "ordinary_count", "ordinary_series",
+    "h_series_cycle", "h_series_product", "ordinary_count", "ordinary_series",
     "apply_lowering", "c_coefficient", "c_coefficient_tables",
     "coefficient_gf", "d_coefficient", "d_coefficient_recursive",
     "lowering_power", "transition_gf", "transport_arrays",

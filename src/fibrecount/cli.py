@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 oracle mismatch, 2 parse error, 3 domain error,
 4 cap exceeded.  All output is deterministic: reports are sorted by
-canonical keys, so repeated runs (and multi-threaded oracle runs) are
-byte-identical.
+canonical keys, so repeated runs are byte-identical.  The oracle accepts
+``--jobs`` and echoes it in its JSON report, but always runs sequentially.
 """
 
 from __future__ import annotations
@@ -12,19 +12,18 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .multiindex import (MultiIndex, ParseError, apply_shift,
                          enumerate_multiindices, enumerate_profiles,
-                         find_shift, is_valid_decoration, unit)
+                         find_shift, is_valid_decoration)
 from .trees import fibres_of_degree, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_series)
-from .lowering import (c_coefficient_tables, d_coefficient,
+from .lowering import (apply_lowering, c_coefficient_tables, d_coefficient,
                        d_coefficient_recursive, transition_gf)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
@@ -205,7 +204,7 @@ def cmd_coproduct(args) -> int:
 
 # -- oracle runner -------------------------------------------------------------
 
-def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
+def run_oracle(max_n: int, alphabet: Iterable[str],
                w_formula: Optional[Callable] = None,
                c_tables_fn: Optional[Callable] = None) -> dict:
     """Cross-check every module against brute-force tree enumeration.
@@ -231,12 +230,6 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
         fibres.update(groups)
         tree_totals[n] = sum(len(v) for v in groups.values())
 
-    def pmap(fn, items):
-        if jobs <= 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-
     checks: list[tuple[str, int, list[str]]] = []
 
     # Weighted counts: closed form and recursion against the fibre sum.
@@ -252,9 +245,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
             bad.append(f"quantity=weighted-recursive k={k} "
                        f"expected={_frac_str(brute)} got={_frac_str(rec)}")
         return bad
-    results = pmap(weighted_case, profiles)
     checks.append(("weighted-threeway", len(profiles),
-                   [m for r in results for m in r]))
+                   [m for k in profiles for m in weighted_case(k)]))
 
     # Labelled count identity L = n! * W against the brute fibre sum.
     def labelled_case(k):
@@ -265,9 +257,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
             return [f"quantity=labelled-identity k={k} "
                     f"expected={_frac_str(expected)} got={got}"]
         return []
-    results = pmap(labelled_case, profiles)
     checks.append(("labelled-identity", len(profiles),
-                   [m for r in results for m in r]))
+                   [m for k in profiles for m in labelled_case(k)]))
 
     # Prescribed fertility formula against exhaustive labelled enumeration.
     prufer_bad: list[str] = []
@@ -293,9 +284,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
             return [f"quantity=mass-integrality k={k} "
                     f"expected={_frac_str(brute)} got={got}"]
         return []
-    results = pmap(mass_case, profiles)
     checks.append(("mass-integrality", len(profiles),
-                   [m for r in results for m in r]))
+                   [m for k in profiles for m in mass_case(k)]))
 
     # Plain counts: recursion against fibre sizes, then totals per degree.
     def ordinary_case(k):
@@ -305,9 +295,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
             return [f"quantity=ordinary-count k={k} "
                     f"expected={expected} got={got}"]
         return []
-    results = pmap(ordinary_case, profiles)
     checks.append(("ordinary-count", len(profiles),
-                   [m for r in results for m in r]))
+                   [m for k in profiles for m in ordinary_case(k)]))
 
     totals_bad = []
     for n in range(1, max_n + 1):
@@ -363,7 +352,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
         tables = c_tables_fn(k, lower_r)
         poly = {k: 1}
         for r in range(1, lower_r + 1):
-            poly = _lower_once(poly)
+            poly = apply_lowering(poly)
             expanded = {apply_shift(k, low): c for low, c in tables[r].items()}
             if expanded != poly:
                 bad.append(f"quantity=lowering-C k={k} r={r} "
@@ -383,9 +372,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
                     bad.append(f"quantity=lowering-transition k={k} b={target} "
                                f"expected={_upoly_str(want)} got={_upoly_str(upoly)}")
         return bad
-    results = pmap(lowering_case, lower_ks)
     checks.append(("lowering-threeway", len(lower_ks),
-                   [m for r in results for m in r]))
+                   [m for k in lower_ks for m in lowering_case(k)]))
 
     # Coproduct: the three right-leg expansions, in both decomposition modes.
     co_ks = [k for k in profiles if k.degree() <= min(max_n, 4)]
@@ -400,9 +388,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str], jobs: int = 1,
                     bad.append(f"quantity=coproduct-{form}-{mode} k={k} "
                                f"expected={len(base)}terms got={len(other)}terms")
         return bad
-    results = pmap(coproduct_case, co_ks)
     checks.append(("coproduct-forms", len(co_ks),
-                   [m for r in results for m in r]))
+                   [m for k in co_ks for m in coproduct_case(k)]))
 
     first_mismatch = None
     for name, cases, bad in checks:
@@ -430,17 +417,6 @@ def report_lines(report: dict) -> list[str]:
     return lines
 
 
-def _lower_once(poly: dict) -> dict:
-    out: dict = {}
-    for mono, coeff in poly.items():
-        for (a, j), c in mono.items():
-            if j < 0:
-                continue
-            target = apply_shift(mono, unit(a, j))
-            out[target] = out.get(target, 0) + coeff * c
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def _compositions_of(total: int, parts: int):
     """All tuples of `parts` nonnegative ints summing to total."""
     if parts == 1:
@@ -461,7 +437,7 @@ def cmd_oracle(args) -> int:
             raise CapExceeded(
                 f"oracle alphabet exceeds {ORACLE_ALPHABET_CAP} decorations"
                 " (use --force to override)")
-    report = run_oracle(args.max_n, alphabet, jobs=args.jobs)
+    report = run_oracle(args.max_n, alphabet)
     if args.format == "json":
         payload = {"max_n": args.max_n, "alphabet": list(alphabet),
                    "jobs": args.jobs, "checks": report["checks"],
@@ -525,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check all modules against brute force")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--alphabet", default="a,b")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="echoed in the JSON report; the oracle runs sequentially")
     p.add_argument("--force", action="store_true",
                    help="lift the size caps")
     add_format(p)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .multiindex import MultiIndex, apply_shift, iter_profile_parts
-from .lowering import (c_coefficient_tables, d_coefficient_recursive,
-                       lowering_power)
+from .lowering import (_extension_keys, c_coefficient_tables,
+                       d_coefficient_recursive, lowering_power)
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
 
@@ -81,12 +81,12 @@ def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
         raise ValueError("weight must be -1")
     if decomposition not in DECOMPOSITION_MODES:
         raise ValueError(f"unknown decomposition mode {decomposition!r}")
-    k_fact = k.factorial()
+    k_fact = k.symmetry_factor()
     out = []
     for forest, remainder in _forest_splits(k):
         order = sum(mult for _, mult in forest)
-        pre = Fraction(k_fact,
-                       forest_symmetry(forest, forest_sigma) * remainder.factorial())
+        pre = Fraction(k_fact, forest_symmetry(forest, forest_sigma)
+                       * remainder.symmetry_factor())
         if decomposition == "ordered":
             scale = math.factorial(order)
             for _, mult in forest:
@@ -101,9 +101,7 @@ def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
 
 def _lowerings_of_order(b: MultiIndex, r: int) -> list[MultiIndex]:
     """Lowering multi-indices of order r supported where b can absorb them."""
-    keys = []
-    for a in b.decorations():
-        keys.extend((a, j) for j in range(0, b.max_index(a) + 1))
+    keys = _extension_keys(b)
     out: list[MultiIndex] = []
 
     def rec(i: int, budget: int, acc: list) -> None:
@@ -136,7 +134,7 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
                 continue
             d = d_coefficient_recursive(b, low)
             if d:
-                out[target] = out.get(target, 0) + Fraction(d, target.factorial())
+                out[target] = out.get(target, 0) + Fraction(d, target.symmetry_factor())
         return out
     raise ValueError(f"unknown coproduct form {form!r}")
 

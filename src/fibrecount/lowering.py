@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .multiindex import MultiIndex, apply_shift, unit
 
@@ -88,12 +88,7 @@ def c_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex,
     return levels
 
 
-def c_coefficients(k: MultiIndex, r: int) -> dict[MultiIndex, int]:
-    """All nonzero C[k,l] with |l| = r."""
-    return c_coefficient_tables(k, r)[r]
-
-
-@lru_cache(maxsize=None)
+@cache
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
     """Single C[k,l] by the memoized recursion; 0 off the valid range."""
     if not lowering.is_lowering():
@@ -115,10 +110,10 @@ def d_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
     target = apply_shift(k, lowering)
     if target is None:
         return 0
-    return c_coefficient(k, lowering) * target.factorial()
+    return c_coefficient(k, lowering) * target.symmetry_factor()
 
 
-@lru_cache(maxsize=None)
+@cache
 def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
     """D[k,l] by its own recursion, independent of the C route:
     D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
@@ -128,7 +123,7 @@ def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
     if apply_shift(k, lowering) is None:
         return 0
     if not lowering:
-        return k.factorial()
+        return k.symmetry_factor()
     total = 0
     for (a, j), lj in lowering.items():
         prior = d_coefficient_recursive(k, lowering - unit(a, j))

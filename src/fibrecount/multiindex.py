@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Optional, Union
 
 _ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*):(-?\d+)=(\d+)\Z")
@@ -95,9 +95,6 @@ class MultiIndex:
         for _, c in self._entries:
             out *= math.factorial(c)
         return out
-
-    # Same value, different emphasis at call sites.
-    factorial = symmetry_factor
 
     def decorations(self) -> tuple[str, ...]:
         return tuple(sorted({a for (a, _), _ in self._entries}))
@@ -201,7 +198,7 @@ class MultiIndex:
         return cls(entries)
 
 
-@lru_cache(maxsize=None)
+@cache
 def unit(decoration: str, j: int) -> MultiIndex:
     """The unit multi-index e_j^a."""
     return MultiIndex({(decoration, j): 1})
@@ -303,3 +300,9 @@ def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
     parts = [m for m in sub_multiindices(k) if m.weight() == -1 and m.degree() >= 1]
     parts.sort(key=MultiIndex.sort_key)
     return parts
+
+
+@cache
+def cached_profile_parts(k: MultiIndex) -> tuple[MultiIndex, ...]:
+    """`iter_profile_parts` as a tuple, memoised per multi-index."""
+    return tuple(iter_profile_parts(k))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .multiindex import MultiIndex, enumerate_profiles, iter_profile_parts, unit
-from .series import TruncatedSeries
+from .multiindex import MultiIndex, cached_profile_parts, enumerate_profiles, unit
+from .series import TruncatedSeries, solve_fixpoint
 
 
 def mlt(r: int, m: int) -> int:
@@ -32,6 +32,7 @@ def mlt(r: int, m: int) -> int:
     return math.comb(r + m - 1, m)
 
 
+# A plain dict: a functools.cache wrapper would add a frame per recursion level.
 _F_MEMO: dict[MultiIndex, int] = {}
 
 
@@ -56,16 +57,11 @@ def ordinary_count(k: MultiIndex) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _parts_cached(k: MultiIndex) -> tuple[MultiIndex, ...]:
-    return tuple(iter_profile_parts(k))
-
-
 def _multiset_assignments(target: MultiIndex,
                           size: int) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
     """Multisets of weight -1 profiles, `size` in total with multiplicity,
     summing to target; yielded as (part, multiplicity) tuples."""
-    cands = _parts_cached(target)
+    cands = cached_profile_parts(target)
 
     def rec(start: int, remaining: MultiIndex, slots: int):
         if slots == 0:
@@ -137,20 +133,11 @@ def cycle_index_set(m: int, power_values: Sequence) -> object:
     return Fraction(1) if total is None else total
 
 
-def plethysm_substitute(series: TruncatedSeries, r: int,
-                        max_degree: int | None = None) -> TruncatedSeries:
-    """Substitute u_{a,j} -> u_{a,j}^r in every monomial."""
-    out = series.substitute_powers(r)
-    if max_degree is not None and max_degree != out.max_degree:
-        out = TruncatedSeries(max_degree, dict(out.sorted_terms()))
-    return out
-
-
 def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> TruncatedSeries:
     """One application of F |-> sum_{a,j} u_{a,j} Z_{j+1}(F(u^[1]),...,F(u^[j+1]))."""
     bound = series.max_degree
     top = max(bound - 1, 0)
-    p = [plethysm_substitute(series, r) for r in range(1, top + 1)]
+    p = [series.substitute_powers(r) for r in range(1, top + 1)]
     out = TruncatedSeries.zero(bound)
     for a in sorted(set(alphabet)):
         for j in range(-1, bound - 1):
@@ -159,23 +146,10 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
     return out
 
 
-_SERIES_CACHE: dict[tuple[tuple[str, ...], int], TruncatedSeries] = {}
-
-
 def ordinary_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
     """Unique zero-constant-term solution of the cycle-index fixpoint
     equation; its coefficients are the F values."""
-    if max_degree < 1:
-        raise ValueError("degree bound must be >= 1")
-    alph = tuple(sorted(set(alphabet)))
-    key = (alph, max_degree)
-    cached = _SERIES_CACHE.get(key)
-    if cached is None:
-        out = TruncatedSeries.zero(max_degree)
-        for _ in range(max_degree):
-            out = functional_rhs(out, alph)
-        _SERIES_CACHE[key] = cached = out
-    return cached
+    return solve_fixpoint(functional_rhs, alphabet, max_degree)
 
 
 # -- the z-graded product route for H_m --------------------------------------
@@ -195,86 +169,38 @@ def _zpoly_mul(left: list[TruncatedSeries], right: list[TruncatedSeries],
     return out
 
 
-def _zpoly_exp(arg: list[TruncatedSeries], max_z: int) -> list[TruncatedSeries]:
-    """exp of a z-polynomial with zero z-constant term."""
-    if arg[0]:
-        raise ValueError("exp requires zero constant term")
-    bound = arg[0].max_degree
-    out = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * max_z
-    power = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * max_z
-    for i in range(1, max_z + 1):
-        power = _zpoly_mul(power, arg, max_z)
-        scale = Fraction(1, i)
-        power = [c * scale for c in power]
-        out = [a + b for a, b in zip(out, power)]
-    return out
-
-
-def _zpoly_log(arg: list[TruncatedSeries], max_z: int) -> list[TruncatedSeries]:
-    """log of a z-polynomial with z-constant term one."""
-    bound = arg[0].max_degree
-    if arg[0] != TruncatedSeries.one(bound):
-        raise ValueError("log requires constant term one")
-    shifted = [TruncatedSeries.zero(bound)] + [c for c in arg[1:]]
-    out = [TruncatedSeries.zero(bound) for _ in range(max_z + 1)]
-    power = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * max_z
-    for i in range(1, max_z + 1):
-        power = _zpoly_mul(power, shifted, max_z)
-        sign = Fraction((-1) ** (i + 1), i)
-        out = [a + b * sign for a, b in zip(out, power)]
-    return out
-
-
-# (alphabet, max_degree) -> (max_z built so far, z-coefficients)
-_EULER_CACHE: dict[tuple[tuple[str, ...], int], tuple[int, tuple]] = {}
-
-
-def _euler_product_z(alph: tuple[str, ...], max_z: int,
+@cache
+def _euler_product_z(alph: tuple[str, ...],
                      max_degree: int) -> tuple[TruncatedSeries, ...]:
-    cached = _EULER_CACHE.get((alph, max_degree))
-    if cached is not None and cached[0] >= max_z:
-        return cached[1][:max_z + 1]
+    # z^m carries only monomials of degree >= m, so z^0..z^max_degree
+    # are all the coefficients below the bound.
     bound = max_degree
-    prod = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * max_z
+    prod = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * bound
     for part in enumerate_profiles(alph, bound):
         f = ordinary_count(part)
         if f == 0:
             continue
-        factor = []
-        i = 0
-        while i <= max_z and i * part.degree() <= bound:
-            factor.append(TruncatedSeries(
-                bound, {part.scale(i): Fraction(mlt(f, i))}))
-            i += 1
-        prod = _zpoly_mul(prod, factor, max_z)
-    result = tuple(prod)
-    _EULER_CACHE[(alph, max_degree)] = (max_z, result)
-    return result
+        factor = [TruncatedSeries(bound, {part.scale(i): Fraction(mlt(f, i))})
+                  for i in range(bound // part.degree() + 1)]
+        prod = _zpoly_mul(prod, factor, bound)
+    return tuple(prod)
 
 
 def h_series_product(alphabet: Iterable[str], m: int,
                      max_degree: int) -> TruncatedSeries:
     """H_m as the z^m coefficient of prod over profiles of
     (1 - z u^part)^(-F_part), each factor expanded via mlt."""
-    alph = tuple(sorted(set(alphabet)))
-    return _euler_product_z(alph, m, max_degree)[m]
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m > max_degree:
+        return TruncatedSeries.zero(max_degree)
+    return _euler_product_z(tuple(sorted(set(alphabet))), max_degree)[m]
 
 
 def h_series_cycle(alphabet: Iterable[str], m: int,
                    max_degree: int) -> TruncatedSeries:
     """H_m as Z_m evaluated at power-substituted copies of the F series."""
     f_series = ordinary_series(alphabet, max_degree)
-    p = [plethysm_substitute(f_series, r) for r in range(1, m + 1)]
+    p = [f_series.substitute_powers(r) for r in range(1, m + 1)]
     return TruncatedSeries.one(max_degree) * cycle_index_set(m, p)
 
-
-def h_series(alphabet: Iterable[str], m: int, max_degree: int) -> TruncatedSeries:
-    """H_m computed both ways; raises if the routes disagree."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    via_product = h_series_product(alphabet, m, max_degree)
-    via_cycle = h_series_cycle(alphabet, m, max_degree)
-    if via_product != via_cycle:
-        raise AssertionError(
-            f"product and cycle-index routes disagree for m={m}")
-    return via_product

@@ -8,7 +8,8 @@ at the series' fixed total-degree bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from functools import cache
+from typing import Callable, Iterable, Union
 
 from .multiindex import MultiIndex
 
@@ -140,3 +141,21 @@ class TruncatedSeries:
             if scaled.degree() <= bound:
                 out[scaled] = c
         return TruncatedSeries(bound, out)
+
+
+def solve_fixpoint(rhs: Callable[[TruncatedSeries, tuple[str, ...]], TruncatedSeries],
+                   alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
+    """The unique zero-constant-term solution of T = rhs(T, alphabet),
+    truncated at max_degree."""
+    if max_degree < 1:
+        raise ValueError("degree bound must be >= 1")
+    return _solve_fixpoint(rhs, tuple(sorted(set(alphabet))), max_degree)
+
+
+@cache
+def _solve_fixpoint(rhs, alph: tuple[str, ...], max_degree: int) -> TruncatedSeries:
+    out = TruncatedSeries.zero(max_degree)
+    # Degree d coefficients stabilize after d iterations.
+    for _ in range(max_degree):
+        out = rhs(out, alph)
+    return out

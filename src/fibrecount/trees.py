@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .multiindex import MultiIndex, ParseError, is_valid_decoration
 
@@ -118,12 +120,6 @@ def parse_tree(text: str) -> DecoratedTree:
     return tree
 
 
-# Caches are filled with immutable tuples; concurrent first calls may race
-# but write identical values, so last-write-wins is harmless.
-_TREE_CACHE: dict[tuple[int, tuple[str, ...]], tuple[DecoratedTree, ...]] = {}
-_FIBRE_CACHE: dict[tuple[int, tuple[str, ...]], dict] = {}
-
-
 def _normalized_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:
     alph = tuple(sorted(set(alphabet)))
     if not alph:
@@ -141,25 +137,19 @@ def enumerate_trees(n: int, alphabet: Iterable[str]) -> list[DecoratedTree]:
     return list(_trees_exact(n, _normalized_alphabet(alphabet)))
 
 
+@cache
 def _trees_exact(n: int, alph: tuple[str, ...]) -> tuple[DecoratedTree, ...]:
-    key = (n, alph)
-    cached = _TREE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n == 1:
-        result = tuple(DecoratedTree(a) for a in alph)
-    else:
-        pool: list[DecoratedTree] = []
-        for s in range(1, n):
-            pool.extend(_trees_exact(s, alph))
-        sizes = [t._size for t in pool]
-        out = []
-        for root in alph:
-            for kids in _child_multisets(pool, sizes, n - 1):
-                out.append(DecoratedTree(root, kids))
-        result = tuple(sorted(out, key=lambda t: t._key))
-    _TREE_CACHE[key] = result
-    return result
+        return tuple(DecoratedTree(a) for a in alph)
+    pool: list[DecoratedTree] = []
+    for s in range(1, n):
+        pool.extend(_trees_exact(s, alph))
+    sizes = [t._size for t in pool]
+    out = []
+    for root in alph:
+        for kids in _child_multisets(pool, sizes, n - 1):
+            out.append(DecoratedTree(root, kids))
+    return tuple(sorted(out, key=lambda t: t._key))
 
 
 def _child_multisets(pool, sizes, budget):
@@ -180,19 +170,20 @@ def _child_multisets(pool, sizes, budget):
     yield from rec(0, budget)
 
 
-def fibres_of_degree(n: int, alphabet: Iterable[str]) -> dict[MultiIndex, tuple]:
+def fibres_of_degree(n: int, alphabet: Iterable[str]) -> Mapping[MultiIndex, tuple]:
     """Group all n-vertex trees by profile.  The keys are exactly the
-    nonempty fibres of degree n over the alphabet."""
-    key = (n, _normalized_alphabet(alphabet))
-    cached = _FIBRE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    nonempty fibres of degree n over the alphabet.  The mapping is a
+    read-only view of a shared cache."""
+    return _fibres(n, _normalized_alphabet(alphabet))
+
+
+@cache
+def _fibres(n: int, alph: tuple[str, ...]) -> Mapping[MultiIndex, tuple]:
     groups: dict[MultiIndex, list] = {}
-    for t in _trees_exact(*key):
+    for t in _trees_exact(n, alph):
         groups.setdefault(t.profile(), []).append(t)
-    result = {k: tuple(v) for k, v in sorted(groups.items(), key=lambda kv: kv[0].sort_key())}
-    _FIBRE_CACHE[key] = result
-    return result
+    return MappingProxyType({k: tuple(v) for k, v in
+                             sorted(groups.items(), key=lambda kv: kv[0].sort_key())})
 
 
 def enumerate_fibre(k: MultiIndex) -> list[DecoratedTree]:

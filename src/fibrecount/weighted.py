@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .multiindex import MultiIndex, iter_profile_parts, unit
-from .series import TruncatedSeries
+from .multiindex import MultiIndex, cached_profile_parts, unit
+from .series import TruncatedSeries, solve_fixpoint
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,6 @@ def weighted_counts(k: MultiIndex) -> WeightedCounts:
     return WeightedCounts(L=int(labelled), W=w, J=int(mass))
 
 
-@lru_cache(maxsize=None)
-def _parts_cached(k: MultiIndex) -> tuple[MultiIndex, ...]:
-    return tuple(iter_profile_parts(k))
-
-
 def _compositions(target: MultiIndex, parts: int) -> Iterator[tuple[MultiIndex, ...]]:
     """Ordered tuples of `parts` weight -1 profiles summing to target."""
     if target.weight() != -parts or target.degree() < parts:
@@ -81,12 +75,13 @@ def _compositions(target: MultiIndex, parts: int) -> Iterator[tuple[MultiIndex, 
     if parts == 1:
         yield (target,)
         return
-    for first in _parts_cached(target):
+    for first in cached_profile_parts(target):
         rest = target - first
         for tail in _compositions(rest, parts - 1):
             yield (first,) + tail
 
 
+# A plain dict: a functools.cache wrapper would add a frame per recursion level.
 _W_MEMO: dict[MultiIndex, Fraction] = {}
 
 
@@ -129,21 +124,7 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
     return out
 
 
-_SERIES_CACHE: dict[tuple[tuple[str, ...], int], TruncatedSeries] = {}
-
-
 def weighted_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
     """Unique zero-constant-term solution of the weighted fixpoint equation,
     truncated at max_degree.  Its coefficients are the W values."""
-    if max_degree < 1:
-        raise ValueError("degree bound must be >= 1")
-    alph = tuple(sorted(set(alphabet)))
-    key = (alph, max_degree)
-    cached = _SERIES_CACHE.get(key)
-    if cached is None:
-        out = TruncatedSeries.zero(max_degree)
-        # Degree d coefficients stabilize after d iterations.
-        for _ in range(max_degree):
-            out = functional_rhs(out, alph)
-        _SERIES_CACHE[key] = cached = out
-    return cached
+    return solve_fixpoint(functional_rhs, alphabet, max_degree)

@@ -170,7 +170,7 @@ def test_criterion_8_coproduct_forms():
 
 def test_criterion_9_cli_determinism():
     with criterion(9, "CLI oracle passes at max-n 6 and its output is "
-                      "byte-identical across repeats and thread counts"):
+                      "byte-identical across repeats and --jobs values"):
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)

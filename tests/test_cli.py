@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -194,3 +195,16 @@ def test_python_dash_m_entry():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "F = 1" in proc.stdout
+
+
+def test_count_deep_chain():
+    # A 601-vertex chain recurses once per vertex at the default recursion
+    # limit; a memo that costs an extra frame per level breaks it.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibrecount", "count", "a:-1=1,a:0=600"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "F = 1\n" in proc.stdout

@@ -96,7 +96,7 @@ def test_d_is_c_times_target_factorial():
     for r in range(4):
         for low, c in c_coefficient_tables(k, 3)[r].items():
             target = apply_shift(k, low)
-            assert d_coefficient(k, low) == c * target.factorial()
+            assert d_coefficient(k, low) == c * target.symmetry_factor()
             assert d_coefficient_recursive(k, low) == d_coefficient(k, low)
 
 

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from fibrecount.multiindex import MultiIndex, enumerate_profiles
-from fibrecount.ordinary import (cycle_index_set, h_series, h_series_cycle,
+from fibrecount.ordinary import (cycle_index_set, h_series_cycle,
                                  h_series_product, mlt, ordinary_count,
-                                 ordinary_series, partitions,
-                                 plethysm_substitute)
+                                 ordinary_series, partitions)
 from fibrecount.series import TruncatedSeries
 from fibrecount.trees import enumerate_trees, fibres_of_degree
 
@@ -101,9 +100,10 @@ def test_cycle_index_small():
 
 
 def test_plethysm_substitute():
+    # the power substitution p_r[S] that the cycle-index route feeds on
     x = TruncatedSeries.variable("a", 0, 6)
     s = x + 2 * x * x
-    t = plethysm_substitute(s, 3)
+    t = s.substitute_powers(3)
     assert t.coefficient(mi("a:0=3")) == 1
     assert t.coefficient(mi("a:0=6")) == 2
     assert t.coefficient(mi("a:0=1")) == 0
@@ -134,7 +134,7 @@ def test_h_series_routes_agree(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_h_series_matches_brute_multisets(m):
-    s = h_series(("a",), m, 4)
+    s = h_series_product(("a",), m, 4)
     brute = brute_h(("a",), m, 4)
     for mono, c in brute.items():
         assert s.coefficient(mono) == c
@@ -142,8 +142,20 @@ def test_h_series_matches_brute_multisets(m):
 
 
 def test_h_one_is_tree_series():
-    assert h_series(("a", "b"), 1, 4) == ordinary_series(("a", "b"), 4)
+    assert h_series_product(("a", "b"), 1, 4) == ordinary_series(("a", "b"), 4)
 
 
 def test_h_zero_is_one():
-    assert h_series(("a",), 0, 4) == TruncatedSeries.one(4)
+    assert h_series_product(("a",), 0, 4) == TruncatedSeries.one(4)
+
+
+def test_h_beyond_bound_is_zero():
+    # m trees have at least m vertices, so H_m vanishes below degree m.
+    for m in (5, 7):
+        assert h_series_product(("a", "b"), m, 4) == TruncatedSeries.zero(4)
+        assert h_series_cycle(("a", "b"), m, 4) == TruncatedSeries.zero(4)
+
+
+def test_h_rejects_negative_size():
+    with pytest.raises(ValueError):
+        h_series_product(("a",), -1, 4)

@@ -61,6 +61,16 @@ def test_fibres_partition_all_trees():
             assert all(t.profile() == profile for t in fibre)
 
 
+def test_fibres_of_degree_is_read_only():
+    # The grouping is a shared cache; a caller must not be able to empty it.
+    groups = fibres_of_degree(3, ("a",))
+    with pytest.raises((AttributeError, TypeError)):
+        groups.clear()
+    with pytest.raises(TypeError):
+        groups[mi("a:-1=2,a:1=1")] = ()
+    assert len(enumerate_fibre(mi("a:-1=2,a:1=1"))) == 1
+
+
 # -- profiles -------------------------------------------------------------------
 
 def test_profile_example():
