@@ -1,9 +1,10 @@
 """fibrecount command line: exact counts, series, shift coefficients, coproduct.
 
 Exit codes: 0 success, 1 oracle mismatch, 2 parse error, 3 domain error,
-4 cap exceeded.  All output is deterministic: reports are sorted by
-canonical keys, so repeated runs are byte-identical.  The oracle accepts
-``--jobs`` and echoes it in its JSON report, but always runs sequentially.
+4 cap exceeded, 5 internal error.  All output is deterministic: reports are
+sorted by canonical keys, so repeated runs are byte-identical.  The oracle
+accepts ``--jobs`` and echoes it in its JSON report, but always runs
+sequentially.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -524,6 +526,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # Anything else is a fault of the program, never an oracle verdict.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        detail = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {detail} (at "
+              f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno})",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

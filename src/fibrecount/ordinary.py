@@ -138,11 +138,11 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
     bound = series.max_degree
     top = max(bound - 1, 0)
     p = [series.substitute_powers(r) for r in range(1, top + 1)]
+    zvals = [cycle_index_set(j + 1, p) for j in range(-1, bound - 1)]
     out = TruncatedSeries.zero(bound)
     for a in sorted(set(alphabet)):
         for j in range(-1, bound - 1):
-            zval = cycle_index_set(j + 1, p)
-            out = out + TruncatedSeries.variable(a, j, bound) * zval
+            out = out + TruncatedSeries.variable(a, j, bound) * zvals[j + 1]
     return out
 
 

@@ -3,10 +3,25 @@
 Monomials are MultiIndex values (exponent of u_{a,j} = count at (a, j)),
 coefficients are Fractions or ints, and every operation truncates eagerly
 at the series' fixed total-degree bound.
+
+Multiplication packs monomials into ints for the length of one product
+(packed exponent vectors, Monagan and Pearce, CASC 2007): every key
+(a, j) occurring in either operand gets a bit field of width
+``bound.bit_length()``, so multiplying two monomials is one int addition.
+No count in a formed product exceeds the bound, so no field overflows.
+Coefficients are scaled to integers over each operand's common
+denominator and divided once per result term; the surviving codes are
+decoded back to MultiIndex keys at the result.
+
+`solve_fixpoint` fixes one degree at a time: the degree-d coefficients of
+the right-hand side depend only on the coefficients below degree d, so
+sweep d evaluates it once at bound d (van der Hoeven, "Relax, but don't be
+too lazy", JSC 2002).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Union
@@ -33,6 +48,14 @@ class TruncatedSeries:
                     continue
                 clean[mono] = clean.get(mono, 0) + coeff
         self._terms = {m: c for m, c in clean.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, max_degree: int, terms: dict) -> "TruncatedSeries":
+        # For results whose terms are already nonzero and within the bound.
+        self = object.__new__(cls)
+        self.max_degree = max_degree
+        self._terms = terms
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -83,39 +106,25 @@ class TruncatedSeries:
         out = dict(self._terms)
         for mono, c in other._terms.items():
             out[mono] = out.get(mono, 0) + c
-        return TruncatedSeries(self.max_degree, out)
+        return TruncatedSeries._trusted(
+            self.max_degree, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_bound(other)
         out = dict(self._terms)
         for mono, c in other._terms.items():
             out[mono] = out.get(mono, 0) - c
-        return TruncatedSeries(self.max_degree, out)
+        return TruncatedSeries._trusted(
+            self.max_degree, {m: c for m, c in out.items() if c})
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_bound(other)
-            bound = self.max_degree
-            left = sorted(self._terms.items(), key=lambda kv: kv[0].degree())
-            right = sorted(other._terms.items(), key=lambda kv: kv[0].degree())
-            if not left or not right:
-                return TruncatedSeries(bound)
-            min_right = right[0][0].degree()
-            out: dict[MultiIndex, Scalar] = {}
-            for m1, c1 in left:
-                d1 = m1.degree()
-                if d1 + min_right > bound:
-                    break
-                for m2, c2 in right:
-                    if d1 + m2.degree() > bound:
-                        break
-                    key = m1 + m2
-                    out[key] = out.get(key, 0) + c1 * c2
-            return TruncatedSeries(bound, out)
+            return _packed_product(self._terms, other._terms, self.max_degree)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return TruncatedSeries(self.max_degree)
-            return TruncatedSeries(
+            return TruncatedSeries._trusted(
                 self.max_degree, {m: c * other for m, c in self._terms.items()})
         return NotImplemented
 
@@ -143,6 +152,56 @@ class TruncatedSeries:
         return TruncatedSeries(bound, out)
 
 
+def _pack(terms: dict, shift: dict, bound: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The common denominator of `terms`, and per degree the (code, numerator)
+    pairs of its monomials over that denominator."""
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    by_degree: list[list[tuple[int, int]]] = [[] for _ in range(bound + 1)]
+    for mono, c in terms.items():
+        code = 0
+        for key, count in mono.items():
+            code += count << shift[key]
+        by_degree[mono.degree()].append((code, c.numerator * (den // c.denominator)))
+    return den, by_degree
+
+
+def _packed_product(left: dict, right: dict, bound: int) -> TruncatedSeries:
+    keys = sorted({key for terms in (left, right)
+                   for mono in terms for key, _ in mono.items()})
+    width = bound.bit_length()
+    shift = {key: i * width for i, key in enumerate(keys)}
+    lden, lgroups = _pack(left, shift, bound)
+    rden, rgroups = _pack(right, shift, bound)
+    # upto[r]: the right terms of degree <= r.
+    upto: list[list[tuple[int, int]]] = []
+    for group in rgroups:
+        upto.append((upto[-1] if upto else []) + group)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for d1, group in enumerate(lgroups):
+        partners = upto[bound - d1]
+        for code1, n1 in group:
+            for code2, n2 in partners:
+                code = code1 + code2
+                acc[code] = get(code, 0) + n1 * n2
+    den = lden * rden
+    mask = (1 << width) - 1
+    out: dict[MultiIndex, Scalar] = {}
+    for code, num in acc.items():
+        if not num:
+            continue
+        entries = []
+        for key in keys:
+            count = code & mask
+            if count:
+                entries.append((key, count))
+            code >>= width
+            if not code:
+                break
+        out[MultiIndex._raw(tuple(entries))] = Fraction(num, den)
+    return TruncatedSeries._trusted(bound, out)
+
+
 def solve_fixpoint(rhs: Callable[[TruncatedSeries, tuple[str, ...]], TruncatedSeries],
                    alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
     """The unique zero-constant-term solution of T = rhs(T, alphabet),
@@ -154,8 +213,10 @@ def solve_fixpoint(rhs: Callable[[TruncatedSeries, tuple[str, ...]], TruncatedSe
 
 @cache
 def _solve_fixpoint(rhs, alph: tuple[str, ...], max_degree: int) -> TruncatedSeries:
-    out = TruncatedSeries.zero(max_degree)
-    # Degree d coefficients stabilize after d iterations.
-    for _ in range(max_degree):
-        out = rhs(out, alph)
+    # Every term of rhs carries a factor u_{a,j}, so the coefficients of
+    # rhs(T) at degree d need only those of T below d: sweep d, at bound
+    # d, fixes degree d for good.
+    out = TruncatedSeries.zero(0)
+    for d in range(1, max_degree + 1):
+        out = rhs(TruncatedSeries(d, out._terms), alph)
     return out

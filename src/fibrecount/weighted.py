@@ -116,11 +116,12 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
     powers = [TruncatedSeries.one(bound)]
     for _ in range(top_power):
         powers.append(powers[-1] * series)
+    scaled = [powers[j + 1] * Fraction(1, math.factorial(j + 1))
+              for j in range(-1, bound - 1)]
     out = TruncatedSeries.zero(bound)
     for a in sorted(set(alphabet)):
         for j in range(-1, bound - 1):
-            term = TruncatedSeries.variable(a, j, bound) * powers[j + 1]
-            out = out + term * Fraction(1, math.factorial(j + 1))
+            out = out + TruncatedSeries.variable(a, j, bound) * scaled[j + 1]
     return out
 
 

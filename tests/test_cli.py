@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from fibrecount import cli
 from fibrecount.cli import main, run_oracle
 from fibrecount.weighted import weighted_counts
 
@@ -185,6 +186,21 @@ def test_duplicate_alphabet_rejected(capsys):
     code, _, err = run(capsys, "series", "weighted", "--max-degree", "2",
                        "--alphabet", "a,a")
     assert code == 2
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 ArithmeticError("non-integral\ncount"),
+                                 AssertionError()])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_count", broken)
+    code, out, err = run(capsys, "count", "a:-1=1")
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"error: internal error: {type(exc).__name__}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # -- module entry point ----------------------------------------------------------------

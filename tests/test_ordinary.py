@@ -71,6 +71,15 @@ def test_series_matches_counts(alphabet):
     assert set(s.monomials()) <= set(profiles)
 
 
+def test_series_matches_counts_two_letters_degree_8():
+    s = ordinary_series(("a", "b"), 8)
+    profiles = enumerate_profiles(("a", "b"), 8)
+    assert len(profiles) == 1066
+    for k in profiles:
+        assert s.coefficient(k) == ordinary_count(k)
+    assert set(s.monomials()) == set(profiles)
+
+
 # -- partitions and the cycle index of the symmetric group ---------------------------
 
 def test_partitions_of_four():
