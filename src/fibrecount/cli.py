@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 oracle mismatch, 2 parse error, 3 domain error,
 4 cap exceeded, 5 internal error.  All output is deterministic: reports are
 sorted by canonical keys, so repeated runs are byte-identical.  The oracle
-accepts ``--jobs`` and echoes it in its JSON report, but always runs
-sequentially.
+accepts ``--jobs`` (an integer >= 1) and echoes it in its JSON report, but
+always runs sequentially.
 """
 
 from __future__ import annotations
@@ -91,6 +91,16 @@ def _poly_str(poly: dict) -> str:
     return ";".join(f"{mono}:{_frac_str(c)}"
                     for mono, c in sorted(poly.items(),
                                           key=lambda kv: kv[0].sort_key()))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_alphabet(text: str) -> tuple[str, ...]:
@@ -232,12 +242,16 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
         fibres.update(groups)
         tree_totals[n] = sum(len(v) for v in groups.values())
 
+    # The brute-force fibre mass sum 1/aut, read by three checks.
+    masses = {k: sum(Fraction(1, t.automorphism_order()) for t in fibres.get(k, ()))
+              for k in profiles}
+
     checks: list[tuple[str, int, list[str]]] = []
 
     # Weighted counts: closed form and recursion against the fibre sum.
     def weighted_case(k):
         bad = []
-        brute = sum(Fraction(1, t.automorphism_order()) for t in fibres.get(k, ()))
+        brute = masses[k]
         closed = w_formula(k)
         rec = weighted_counts_recursive(k)
         if closed != brute:
@@ -252,8 +266,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
 
     # Labelled count identity L = n! * W against the brute fibre sum.
     def labelled_case(k):
-        brute = sum(Fraction(1, t.automorphism_order()) for t in fibres.get(k, ()))
-        expected = math.factorial(k.degree()) * brute
+        expected = math.factorial(k.degree()) * masses[k]
         got = weighted_counts(k).L
         if got != expected:
             return [f"quantity=labelled-identity k={k} "
@@ -278,9 +291,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
 
     # Integer fibre mass: J against the sum of expansion coefficients.
     def mass_case(k):
-        sigma = k.symmetry_factor()
-        brute = sum(Fraction(sigma, t.automorphism_order())
-                    for t in fibres.get(k, ()))
+        brute = k.symmetry_factor() * masses[k]
         got = weighted_counts(k).J
         if brute.denominator != 1 or got != brute:
             return [f"quantity=mass-integrality k={k} "
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check all modules against brute force")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--alphabet", default="a,b")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="echoed in the JSON report; the oracle runs sequentially")
     p.add_argument("--force", action="store_true",
                    help="lift the size caps")

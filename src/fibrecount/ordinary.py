@@ -10,6 +10,10 @@ the number of size-m multisets from r objects.  The branch-multiset series
 H_m admits two independent computations that must agree: coefficient
 extraction from the Euler-type product over all profiles, and evaluation of
 the multiset cycle index at power-substituted copies of the F series.
+
+The cycle index obeys Z_0 = 1, m Z_m = sum_{r=1..m} p_r Z_{m-r} (Polya;
+Flajolet and Sedgewick, Analytic Combinatorics I.2, MSET), so Z_0..Z_m
+cost m(m+1)/2 products and no partition of m is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .multiindex import MultiIndex, cached_profile_parts, enumerate_profiles, unit
-from .series import TruncatedSeries, solve_fixpoint
+from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
 def mlt(r: int, m: int) -> int:
@@ -83,54 +87,23 @@ def _multiset_assignments(target: MultiIndex,
     yield from rec(0, target, size)
 
 
-def partitions(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """Integer partitions of m in multiplicity notation ((r, m_r), ...)
-    with parts ascending, in lexicographic generation order."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    out: list[tuple[tuple[int, int], ...]] = []
+def cycle_index_set(m: int, power_values: Sequence) -> list:
+    """Multiset cycle indices [Z_0, ..., Z_m] at p_r = power_values[r-1],
+    by Z_0 = 1 and k Z_k = sum_{r=1..k} p_r Z_{k-r}.
 
-    def rec(remaining: int, smallest: int, acc: list[int]) -> None:
-        if remaining == 0:
-            runs = []
-            for part in acc:
-                if runs and runs[-1][0] == part:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([part, 1])
-            out.append(tuple((r, c) for r, c in runs))
-            return
-        for part in range(smallest, remaining + 1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(m, 1, [])
-    return out
-
-
-def cycle_index_set(m: int, power_values: Sequence) -> object:
-    """Multiset cycle index Z_m evaluated at p_r = power_values[r-1].
-
-    Z_m = sum over partitions of m of prod p_r^(m_r) / (r^(m_r) m_r!).
-    Works for any commutative values supporting + and * with Fractions;
-    m = 0 gives Fraction(1).
+    Works for any commutative values supporting + and * with Fractions.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if len(power_values) < m:
         raise ValueError("need power values p_1..p_m")
-    total = None
-    for lam in partitions(m):
-        z = 1
-        for r, mult in lam:
-            z *= r ** mult * math.factorial(mult)
-        term = Fraction(1, z)
-        for r, mult in lam:
-            for _ in range(mult):
-                term = power_values[r - 1] * term
-        total = term if total is None else total + term
-    return Fraction(1) if total is None else total
+    zs: list = [Fraction(1)]
+    for k in range(1, m + 1):
+        total = power_values[0] * zs[k - 1]
+        for r in range(2, k + 1):
+            total = total + power_values[r - 1] * zs[k - r]
+        zs.append(total * Fraction(1, k))
+    return zs
 
 
 def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> TruncatedSeries:
@@ -138,12 +111,7 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
     bound = series.max_degree
     top = max(bound - 1, 0)
     p = [series.substitute_powers(r) for r in range(1, top + 1)]
-    zvals = [cycle_index_set(j + 1, p) for j in range(-1, bound - 1)]
-    out = TruncatedSeries.zero(bound)
-    for a in sorted(set(alphabet)):
-        for j in range(-1, bound - 1):
-            out = out + TruncatedSeries.variable(a, j, bound) * zvals[j + 1]
-    return out
+    return attach_roots(cycle_index_set(top, p), alphabet, bound)
 
 
 def ordinary_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
@@ -202,5 +170,5 @@ def h_series_cycle(alphabet: Iterable[str], m: int,
     """H_m as Z_m evaluated at power-substituted copies of the F series."""
     f_series = ordinary_series(alphabet, max_degree)
     p = [f_series.substitute_powers(r) for r in range(1, m + 1)]
-    return TruncatedSeries.one(max_degree) * cycle_index_set(m, p)
+    return TruncatedSeries.one(max_degree) * cycle_index_set(m, p)[m]
 

@@ -13,6 +13,11 @@ Coefficients are scaled to integers over each operand's common
 denominator and divided once per result term; the surviving codes are
 decoded back to MultiIndex keys at the result.
 
+Both fixpoint equations read T = sum_{a,j} u_{a,j} X_{j+1} over a ladder
+X_0 = 1, X_1, ... built from T (T^m/m! for W, the cycle index Z_m for F).
+`attach_roots` is that shared root step: it shifts each term of X_{j+1}
+by the unit e_j^a, with no series product.
+
 `solve_fixpoint` fixes one degree at a time: the degree-d coefficients of
 the right-hand side depend only on the coefficients below degree d, so
 sweep d evaluates it once at bound d (van der Hoeven, "Relax, but don't be
@@ -24,9 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, unit
 
 Scalar = Union[int, Fraction]
 
@@ -200,6 +205,24 @@ def _packed_product(left: dict, right: dict, bound: int) -> TruncatedSeries:
                 break
         out[MultiIndex._raw(tuple(entries))] = Fraction(num, den)
     return TruncatedSeries._trusted(bound, out)
+
+
+def attach_roots(ladder: Sequence, alphabet: Iterable[str],
+                 bound: int) -> TruncatedSeries:
+    """sum over letters a and j >= -1 of u_{a,j} * ladder[j + 1], truncated
+    at `bound`.  ladder[0] is taken as 1, so the j = -1 term is u_{a,-1}."""
+    letters = sorted(set(alphabet))
+    out: dict[MultiIndex, Scalar] = {}
+    for m in range(bound):
+        # A root adds one to the degree, so only terms below the bound count.
+        terms = ([(mono, c) for mono, c in ladder[m]._terms.items()
+                  if mono.degree() < bound] if m else [(MultiIndex(), Fraction(1))])
+        for a in letters:
+            root = unit(a, m - 1)
+            for mono, c in terms:
+                shifted = mono + root
+                out[shifted] = out.get(shifted, 0) + c
+    return TruncatedSeries._trusted(bound, {k: c for k, c in out.items() if c})
 
 
 def solve_fixpoint(rhs: Callable[[TruncatedSeries, tuple[str, ...]], TruncatedSeries],

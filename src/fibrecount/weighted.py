@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .multiindex import MultiIndex, cached_profile_parts, unit
-from .series import TruncatedSeries, solve_fixpoint
+from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
 @dataclass(frozen=True)
@@ -106,23 +106,12 @@ def weighted_counts_recursive(k: MultiIndex) -> Fraction:
 
 
 def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> TruncatedSeries:
-    """One application of T |-> sum_{a,j} u_{a,j} T^(j+1) / (j+1)!.
-
-    Only j <= max_degree - 2 can contribute at or below the bound, since the
-    j term has minimum total degree j + 2.
-    """
+    """One application of T |-> sum_{a,j} u_{a,j} T^(j+1) / (j+1)!."""
     bound = series.max_degree
-    top_power = max(bound - 1, 0)
-    powers = [TruncatedSeries.one(bound)]
-    for _ in range(top_power):
-        powers.append(powers[-1] * series)
-    scaled = [powers[j + 1] * Fraction(1, math.factorial(j + 1))
-              for j in range(-1, bound - 1)]
-    out = TruncatedSeries.zero(bound)
-    for a in sorted(set(alphabet)):
-        for j in range(-1, bound - 1):
-            out = out + TruncatedSeries.variable(a, j, bound) * scaled[j + 1]
-    return out
+    ladder = [TruncatedSeries.one(bound)]
+    for m in range(1, bound):
+        ladder.append(ladder[-1] * series * Fraction(1, m))
+    return attach_roots(ladder, alphabet, bound)
 
 
 def weighted_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:

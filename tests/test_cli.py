@@ -126,6 +126,15 @@ def test_oracle_jobs_do_not_change_output(capsys):
     assert seq == par
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_oracle_rejects_bad_jobs(capsys, jobs):
+    # Rejected while parsing, before any oracle work starts.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--max-n", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(capsys, "oracle", "--max-n", "2", "--format", "json")
     assert code == 0

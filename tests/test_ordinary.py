@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from fibrecount.multiindex import MultiIndex, enumerate_profiles
 from fibrecount.ordinary import (cycle_index_set, h_series_cycle,
                                  h_series_product, mlt, ordinary_count,
-                                 ordinary_series, partitions)
+                                 ordinary_series)
 from fibrecount.series import TruncatedSeries
 from fibrecount.trees import enumerate_trees, fibres_of_degree
 
@@ -80,32 +81,54 @@ def test_series_matches_counts_two_letters_degree_8():
     assert set(s.monomials()) == set(profiles)
 
 
-# -- partitions and the cycle index of the symmetric group ---------------------------
+# Trees per vertex count: OEIS A000081 (one letter) and A038055 (two letters).
+KNOWN_TOTALS = {
+    ("a",): [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973],
+    ("a", "b"): [2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196],
+}
 
-def test_partitions_of_four():
-    got = set(partitions(4))
-    expected = {
-        ((4, 1),),
-        ((1, 1), (3, 1)),
-        ((2, 2),),
-        ((1, 2), (2, 1)),
-        ((1, 4),),
-    }
-    assert got == expected
 
+@pytest.mark.parametrize("alphabet", sorted(KNOWN_TOTALS))
+def test_series_totals_match_known_sequences(alphabet):
+    # Sums the series by degree; never consults the profile list.
+    expected = KNOWN_TOTALS[alphabet]
+    totals = [0] * (len(expected) + 1)
+    for k, c in ordinary_series(alphabet, len(expected)).sorted_terms():
+        totals[k.degree()] += c
+    assert totals[1:] == expected
+
+
+# -- the cycle index of the symmetric group ----------------------------------------
 
 def test_partition_weights_sum_to_one():
     # sum over partitions of 1/z_lambda is 1: the cycle index at p_i = 1
     for m in range(7):
-        assert cycle_index_set(m, [1] * (m + 1)) == 1
+        assert cycle_index_set(m, [1] * (m + 1))[m] == 1
 
 
 def test_cycle_index_small():
     # Z_2 = (p1^2 + p2)/2 and Z_3 = (p1^3 + 3 p1 p2 + 2 p3)/6
     p = [7, 11, 13]     # p_1, p_2, p_3
-    assert cycle_index_set(2, p) == Fraction(7 * 7 + 11, 2)
-    assert cycle_index_set(3, p) == Fraction(7 ** 3 + 3 * 7 * 11 + 2 * 13, 6)
-    assert cycle_index_set(0, p) == 1
+    assert cycle_index_set(2, p)[2] == Fraction(7 * 7 + 11, 2)
+    assert cycle_index_set(3, p)[3] == Fraction(7 ** 3 + 3 * 7 * 11 + 2 * 13, 6)
+    assert cycle_index_set(0, p)[0] == 1
+
+
+def test_cycle_index_counts_multisets_and_sets():
+    # p_r = t counts size-m multisets of t kinds; p_r = (-1)^(r+1) t, sets.
+    for t in range(5):
+        multisets = cycle_index_set(8, [t] * 8)
+        sets = cycle_index_set(8, [t if r % 2 else -t for r in range(1, 9)])
+        for m in range(9):
+            assert multisets[m] == mlt(t, m)
+            assert sets[m] == math.comb(t, m)
+
+
+def test_cycle_index_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        cycle_index_set(-1, [])
+    with pytest.raises(ValueError):
+        cycle_index_set(3, [1, 1])
 
 
 def test_plethysm_substitute():

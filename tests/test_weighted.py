@@ -117,3 +117,14 @@ def test_series_matches_counts(alphabet):
 def test_series_is_fixpoint():
     s = weighted_series(("a",), 5)
     assert functional_rhs(s, ("a",)) == s
+
+
+@pytest.mark.parametrize("alphabet,max_degree", [(("a",), 14), (("a", "b"), 10)])
+def test_series_totals_count_labelled_trees(alphabet, max_degree):
+    # n! * (sum of W over degree n) = n^(n-1) rooted labelled trees, each
+    # vertex decorated in |A| ways; no profile list is involved.
+    totals = [Fraction(0)] * (max_degree + 1)
+    for k, c in weighted_series(alphabet, max_degree).sorted_terms():
+        totals[k.degree()] += c
+    for n in range(1, max_degree + 1):
+        assert math.factorial(n) * totals[n] == n ** (n - 1) * len(alphabet) ** n
