@@ -10,6 +10,7 @@ always runs sequentially.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -280,7 +281,9 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     prufer_cases = 0
     for n in range(1, min(max_n, 5) + 1):
         histogram = labelled_fertility_counts(n)
-        for fert in _compositions_of(n - 1, n):
+        for fert in itertools.product(range(n), repeat=n):
+            if sum(fert) != n - 1:
+                continue
             prufer_cases += 1
             expected = histogram.get(fert, 0)
             got = prescribed_fertility_count(fert)
@@ -428,16 +431,6 @@ def report_lines(report: dict) -> list[str]:
         lines.append(f"mismatch: {report['first_mismatch']}")
     lines.append(f"RESULT: {report['result'].upper()}")
     return lines
-
-
-def _compositions_of(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions_of(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def cmd_oracle(args) -> int:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .multiindex import MultiIndex, apply_shift, iter_profile_parts
+from .multiindex import (MultiIndex, apply_shift, iter_profile_parts,
+                         multiindices_of_degree)
 from .lowering import (_extension_keys, c_coefficient_tables,
                        d_coefficient_recursive, lowering_power)
 
@@ -99,27 +100,6 @@ def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
     return out
 
 
-def _lowerings_of_order(b: MultiIndex, r: int) -> list[MultiIndex]:
-    """Lowering multi-indices of order r supported where b can absorb them."""
-    keys = _extension_keys(b)
-    out: list[MultiIndex] = []
-
-    def rec(i: int, budget: int, acc: list) -> None:
-        if budget == 0:
-            out.append(MultiIndex(dict(acc)))
-            return
-        if i == len(keys):
-            return
-        rec(i + 1, budget, acc)
-        for c in range(1, budget + 1):
-            acc.append((keys[i], c))
-            rec(i + 1, budget - c, acc)
-            acc.pop()
-
-    rec(0, r, [])
-    return out
-
-
 def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
     if form == "raw-dbar":
         return lowering_power(b, r)
@@ -128,7 +108,7 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
                 for low, c in c_coefficient_tables(b, r)[r].items()}
     if form == "refined-D":
         out: dict[MultiIndex, Fraction] = {}
-        for low in _lowerings_of_order(b, r):
+        for low in multiindices_of_degree(_extension_keys(b), r):
             target = apply_shift(b, low)
             if target is None:
                 continue

@@ -15,6 +15,14 @@ Text format, bit-exact in both directions::
 
 Formatting always emits canonical order; parsing accepts entries in any
 order but rejects duplicate ``(decoration, j)`` keys.
+
+One walker, `multiindices_of_degree`, serves the box
+(`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`)
+and the refined-D lowerings.  It takes the keys from the largest j down
+and, given a target weight, cuts each branch whose missing weight the
+remaining degree can no longer reach, so profiles are generated rather
+than filtered from the box.  `profile_multisets` walks the branch
+multisets that the F and W recursions share.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 _ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*):(-?\d+)=(\d+)\Z")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -262,37 +270,66 @@ def sub_multiindices(k: MultiIndex) -> list[MultiIndex]:
     return [MultiIndex._raw(tuple(e for e in entries if e)) for entries in out]
 
 
+def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
+                           weight: Optional[int] = None) -> list[MultiIndex]:
+    """Every multi-index supported on `keys` with exactly `degree` (and
+    `weight`, if given), each once, in no particular order.
+
+    The keys are walked from the largest j down, so the weight still
+    reachable with the remaining degree budget lies in
+    [budget * j_min, budget * j]; a branch whose missing weight falls
+    outside is cut, and no multi-index is built for it.
+    """
+    order = sorted(keys, key=lambda key: key[1], reverse=True)
+    j_min = order[-1][1] if order else 0
+    prune = weight is not None
+    out: list[MultiIndex] = []
+    acc: list = []
+
+    def rec(i: int, budget: int, missing: int) -> None:
+        if budget == 0:
+            if not prune or missing == 0:
+                out.append(MultiIndex._raw(tuple(sorted(acc))))
+            return
+        if i == len(order):
+            return
+        key = order[i]
+        j = key[1]
+        if prune and not budget * j_min <= missing <= budget * j:
+            return
+        rec(i + 1, budget, missing)
+        for c in range(1, budget + 1):
+            acc.append((key, c))
+            rec(i + 1, budget - c, missing - c * j)
+            acc.pop()
+
+    rec(0, degree, weight or 0)
+    return out
+
+
+def _keys(alphabet: Iterable[str], max_index: int) -> list[tuple[str, int]]:
+    return [(a, j) for a in sorted(set(alphabet)) for j in range(-1, max_index + 1)]
+
+
 def enumerate_multiindices(alphabet: Iterable[str], max_degree: int,
                            max_index: int) -> list[MultiIndex]:
     """All multi-indices over `alphabet` with -1 <= j <= max_index and
     degree <= max_degree, sorted by (degree, entries)."""
-    keys = [(a, j) for a in sorted(set(alphabet)) for j in range(-1, max_index + 1)]
-    out: list[MultiIndex] = []
-
-    def rec(i: int, budget: int, acc: list) -> None:
-        if i == len(keys):
-            out.append(MultiIndex._raw(tuple(acc)))
-            return
-        rec(i + 1, budget, acc)
-        for c in range(1, budget + 1):
-            acc.append((keys[i], c))
-            rec(i + 1, budget - c, acc)
-            acc.pop()
-
-    rec(0, max_degree, [])
-    out.sort(key=MultiIndex.sort_key)
-    return out
+    keys = _keys(alphabet, max_index)
+    return [k for d in range(max_degree + 1)
+            for k in sorted(multiindices_of_degree(keys, d))]
 
 
 def enumerate_profiles(alphabet: Iterable[str], max_degree: int) -> list[MultiIndex]:
-    """All weight -1 multi-indices with 1 <= degree <= max_degree.
+    """All weight -1 multi-indices with 1 <= degree <= max_degree, sorted by
+    (degree, entries).
 
     Entries above j = max_degree - 2 cannot occur at these degrees: a single
     entry at index j already contributes j + 1 to degree - 1.
     """
-    top = max(max_degree - 2, -1)
-    return [k for k in enumerate_multiindices(alphabet, max_degree, top)
-            if k.weight() == -1 and k.degree() >= 1]
+    keys = _keys(alphabet, max_degree - 2)
+    return [k for d in range(1, max_degree + 1)
+            for k in sorted(multiindices_of_degree(keys, d, -1))]
 
 
 def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
@@ -306,3 +343,29 @@ def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
 def cached_profile_parts(k: MultiIndex) -> tuple[MultiIndex, ...]:
     """`iter_profile_parts` as a tuple, memoised per multi-index."""
     return tuple(iter_profile_parts(k))
+
+
+def profile_multisets(target: MultiIndex) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
+    """Multisets of -weight(target) weight -1 profiles summing to target,
+    yielded as ((part, multiplicity), ...) with parts in sorted order."""
+    cands = cached_profile_parts(target)
+
+    def rec(start: int, remaining: MultiIndex, slots: int):
+        # Each part has weight -1, so -weight(remaining) == slots throughout.
+        if slots == 0:
+            if remaining.degree() == 0:
+                yield ()
+            return
+        if remaining.degree() < slots:
+            return
+        for i in range(start, len(cands)):
+            part = cands[i]
+            mult = 1
+            left = remaining
+            while mult <= slots and left.includes(part):
+                left = left - part
+                for tail in rec(i + 1, left, slots - mult):
+                    yield ((part, mult),) + tail
+                mult += 1
+
+    yield from rec(0, target, -target.weight())

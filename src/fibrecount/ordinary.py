@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .multiindex import MultiIndex, cached_profile_parts, enumerate_profiles, unit
+from .multiindex import MultiIndex, enumerate_profiles, profile_multisets, unit
 from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
@@ -49,8 +49,7 @@ def ordinary_count(k: MultiIndex) -> int:
         return cached
     total = 0
     for (a, j), _ in k.items():
-        target = k - unit(a, j)
-        for assignment in _multiset_assignments(target, j + 1):
+        for assignment in profile_multisets(k - unit(a, j)):
             prod = 1
             for part, mult in assignment:
                 prod *= mlt(ordinary_count(part), mult)
@@ -59,32 +58,6 @@ def ordinary_count(k: MultiIndex) -> int:
             total += prod
     _F_MEMO[k] = total
     return total
-
-
-def _multiset_assignments(target: MultiIndex,
-                          size: int) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
-    """Multisets of weight -1 profiles, `size` in total with multiplicity,
-    summing to target; yielded as (part, multiplicity) tuples."""
-    cands = cached_profile_parts(target)
-
-    def rec(start: int, remaining: MultiIndex, slots: int):
-        if slots == 0:
-            if remaining.degree() == 0:
-                yield ()
-            return
-        if remaining.weight() != -slots or remaining.degree() < slots:
-            return
-        for i in range(start, len(cands)):
-            part = cands[i]
-            mult = 1
-            left = remaining
-            while mult <= slots and left.includes(part):
-                left = left - part
-                for tail in rec(i + 1, left, slots - mult):
-                    yield ((part, mult),) + tail
-                mult += 1
-
-    yield from rec(0, target, size)
 
 
 def cycle_index_set(m: int, power_values: Sequence) -> list:

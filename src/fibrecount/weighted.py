@@ -6,8 +6,13 @@ For a profile k of degree n (weight -1 throughout):
     L = n! * W                                          labelled tree count
     J = symmetry_factor(k) * W                          integer fibre mass
 
-The recursion decomposes a profile at one fertile entry into ordered tuples
-of weight -1 branch profiles; it must reproduce the closed form exactly.
+The recursion decomposes a profile at one fertile entry (a, j) into
+multisets of j + 1 weight -1 branch profiles, the same multisets the F
+recursion walks (`multiindex.profile_multisets`).  Extracting the
+coefficient from T = sum u_{a,j} T^(j+1) / (j+1)! sums over ordered
+tuples; a multiset {p^(m_p)} has (j+1)! / prod m_p! orderings, so it
+contributes prod_p W(p)^(m_p) / m_p! (the exponential formula).  The
+recursion must reproduce the closed form exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .multiindex import MultiIndex, cached_profile_parts, unit
+from .multiindex import MultiIndex, profile_multisets, unit
 from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
@@ -64,43 +69,24 @@ def weighted_counts(k: MultiIndex) -> WeightedCounts:
     return WeightedCounts(L=int(labelled), W=w, J=int(mass))
 
 
-def _compositions(target: MultiIndex, parts: int) -> Iterator[tuple[MultiIndex, ...]]:
-    """Ordered tuples of `parts` weight -1 profiles summing to target."""
-    if target.weight() != -parts or target.degree() < parts:
-        return
-    if parts == 0:
-        if target.degree() == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (target,)
-        return
-    for first in cached_profile_parts(target):
-        rest = target - first
-        for tail in _compositions(rest, parts - 1):
-            yield (first,) + tail
-
-
 # A plain dict: a functools.cache wrapper would add a frame per recursion level.
 _W_MEMO: dict[MultiIndex, Fraction] = {}
 
 
 def weighted_counts_recursive(k: MultiIndex) -> Fraction:
-    """W by decomposing at each fertile entry; memoized."""
+    """W as the sum over fertile entries and branch multisets of
+    prod W(part)^mult / mult!; memoized."""
     _require_profile(k)
     cached = _W_MEMO.get(k)
     if cached is not None:
         return cached
     total = Fraction(0)
     for (a, j), _ in k.items():
-        target = k - unit(a, j)
-        branch_sum = Fraction(0)
-        for combo in _compositions(target, j + 1):
+        for assignment in profile_multisets(k - unit(a, j)):
             prod = Fraction(1)
-            for part in combo:
-                prod *= weighted_counts_recursive(part)
-            branch_sum += prod
-        total += Fraction(1, math.factorial(j + 1)) * branch_sum
+            for part, mult in assignment:
+                prod *= weighted_counts_recursive(part) ** mult / math.factorial(mult)
+            total += prod
     _W_MEMO[k] = total
     return total
 

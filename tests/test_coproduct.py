@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 
 from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, coproduct,
                                   coproduct_raw, forest_symmetry)
-from fibrecount.multiindex import MultiIndex, enumerate_profiles
+from fibrecount.lowering import _extension_keys
+from fibrecount.multiindex import (MultiIndex, enumerate_profiles,
+                                   multiindices_of_degree)
 
 
 def mi(text):
@@ -38,6 +41,21 @@ def test_rejects_wrong_weight():
 def test_forms_agree(form, mode):
     for k in enumerate_profiles(("a", "b"), 4):
         assert coproduct(k, form, mode) == coproduct(k, "raw-dbar", mode)
+
+
+def test_refined_d_lowerings_are_every_vector_of_the_order():
+    # refined-D sums over the order-r lowerings on b's extension keys; each
+    # must come once, and none may be missing.
+    for text in ("a:-1=1", "a:-1=2,a:1=1", "a:-1=3,a:0=1,a:2=1", "a:-1=2,a:0=1,b:1=1"):
+        b = mi(text)
+        keys = _extension_keys(b)
+        for r in range(4):
+            got = multiindices_of_degree(keys, r)
+            scan = {MultiIndex(zip(keys, counts))
+                    for counts in itertools.product(range(r + 1), repeat=len(keys))
+                    if sum(counts) == r}
+            assert len(got) == len(set(got))
+            assert set(got) == scan
 
 
 def test_term_bookkeeping():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from fibrecount.multiindex import (MultiIndex, ParseError, apply_shift,
                                    enumerate_multiindices, enumerate_profiles,
                                    find_shift, sub_multiindices, unit)
+from fibrecount.trees import fibres_of_degree
 
 
 def mi(text):
@@ -166,12 +167,21 @@ def test_enumerate_multiindices_count():
 
 
 def test_enumerate_profiles_brute():
-    alph = ("a", "b")
-    profiles = enumerate_profiles(alph, 4)
-    brute = [k for k in enumerate_multiindices(alph, 4, 2)
-             if k.weight() == -1 and k.degree() >= 1]
-    assert profiles == sorted(brute, key=lambda k: k.sort_key())
-    assert all(p.weight() == -1 for p in profiles)
+    # The weight-pruned walk against filtering the whole box.
+    for alph, n in [(("a",), 7), (("a", "b"), 6), (("a", "b", "c"), 5)]:
+        profiles = enumerate_profiles(alph, n)
+        brute = [k for k in enumerate_multiindices(alph, n, n - 2)
+                 if k.weight() == -1 and k.degree() >= 1]
+        assert profiles == sorted(brute, key=lambda k: k.sort_key())
+        assert all(p.weight() == -1 for p in profiles)
+
+
+def test_profiles_are_tree_profiles():
+    # Every weight -1 multi-index is the profile of at least one tree.
+    profiles = enumerate_profiles(("a", "b"), 6)
+    for n in range(1, 7):
+        of_degree = {k for k in profiles if k.degree() == n}
+        assert of_degree == set(fibres_of_degree(n, ("a", "b")))
 
 
 # -- property tests ------------------------------------------------------------

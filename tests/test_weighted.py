@@ -32,6 +32,15 @@ def test_counts_match_fibre_sums(alphabet):
             assert counts.J == k.symmetry_factor() * expected
 
 
+def test_recursion_matches_closed_form_to_degree_9():
+    # The multiset recursion, with its 1/m! per repeated branch, against the
+    # closed form on every profile of degree <= 9 on two letters.
+    profiles = enumerate_profiles(("a", "b"), 9)
+    assert len(profiles) == 2076
+    for k in profiles:
+        assert weighted_counts_recursive(k) == weighted_counts(k).W
+
+
 def test_known_example():
     counts = weighted_counts(mi("a:1=1,a:0=1,a:-1=2"))
     assert counts.W == Fraction(3, 2)
