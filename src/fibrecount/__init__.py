@@ -17,7 +17,7 @@ from .weighted import (WeightedCounts, prescribed_fertility_count,
                        weighted_counts, weighted_counts_recursive,
                        weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
-                       ordinary_series)
+                       ordinary_count_recursive, ordinary_series)
 from .lowering import (apply_lowering, c_coefficient, c_coefficient_tables,
                        coefficient_gf, d_coefficient, d_coefficient_recursive,
                        lowering_power, transition_gf, transport_arrays)
@@ -31,7 +31,8 @@ __all__ = [
     "TruncatedSeries",
     "WeightedCounts", "prescribed_fertility_count", "weighted_counts",
     "weighted_counts_recursive", "weighted_series",
-    "h_series_cycle", "h_series_product", "ordinary_count", "ordinary_series",
+    "h_series_cycle", "h_series_product", "ordinary_count",
+    "ordinary_count_recursive", "ordinary_series",
     "apply_lowering", "c_coefficient", "c_coefficient_tables",
     "coefficient_gf", "d_coefficient", "d_coefficient_recursive",
     "lowering_power", "transition_gf", "transport_arrays",

@@ -25,7 +25,7 @@ from .trees import fibres_of_degree, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
-                       ordinary_series)
+                       ordinary_count_recursive, ordinary_series)
 from .lowering import (apply_lowering, c_coefficient_tables, d_coefficient,
                        d_coefficient_recursive, transition_gf)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
@@ -303,20 +303,26 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     checks.append(("mass-integrality", len(profiles),
                    [m for k in profiles for m in mass_case(k)]))
 
-    # Plain counts: recursion against fibre sizes, then totals per degree.
+    # Plain counts: the box solve and the recursion against fibre sizes,
+    # then the box solve's totals per degree.
+    counts = {k: ordinary_count(k) for k in profiles}
+    counts_recursive = {k: ordinary_count_recursive(k) for k in profiles}
+
     def ordinary_case(k):
+        bad = []
         expected = len(fibres.get(k, ()))
-        got = ordinary_count(k)
-        if got != expected:
-            return [f"quantity=ordinary-count k={k} "
-                    f"expected={expected} got={got}"]
-        return []
+        for label, got in (("ordinary-count", counts[k]),
+                           ("ordinary-count-recursive", counts_recursive[k])):
+            if got != expected:
+                bad.append(f"quantity={label} k={k} "
+                           f"expected={expected} got={got}")
+        return bad
     checks.append(("ordinary-count", len(profiles),
                    [m for k in profiles for m in ordinary_case(k)]))
 
     totals_bad = []
     for n in range(1, max_n + 1):
-        got = sum(ordinary_count(k) for k in profiles if k.degree() == n)
+        got = sum(counts[k] for k in profiles if k.degree() == n)
         if got != tree_totals[n]:
             totals_bad.append(f"quantity=ordinary-totals k=degree:{n} "
                               f"expected={tree_totals[n]} got={got}")
@@ -335,7 +341,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
         if got_w != expected_w:
             series_bad.append(f"quantity=series-weighted k={k} "
                               f"expected={_frac_str(expected_w)} got={_frac_str(got_w)}")
-        expected_f = ordinary_count(k)
+        expected_f = counts[k]
         got_f = f_series.coefficient(k)
         if got_f != expected_f:
             series_bad.append(f"quantity=series-ordinary k={k} "

@@ -17,7 +17,8 @@ Formatting always emits canonical order; parsing accepts entries in any
 order but rejects duplicate ``(decoration, j)`` keys.
 
 One walker, `multiindices_of_degree`, serves the box
-(`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`)
+(`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`),
+the weight -1 parts of a profile (`iter_profile_parts`, bounded by it)
 and the refined-D lowerings.  It takes the keys from the largest j down
 and, given a target weight, cuts each branch whose missing weight the
 remaining degree can no longer reach, so profiles are generated rather
@@ -260,20 +261,12 @@ def find_shift(k: MultiIndex, b: MultiIndex) -> Optional[MultiIndex]:
     return lowering
 
 
-def sub_multiindices(k: MultiIndex) -> list[MultiIndex]:
-    """All m with 0 <= m <= k componentwise, in a fixed generation order."""
-    out = [()]
-    for key, count in k.items():
-        out = [prefix + (((key), c),) if c else prefix
-               for prefix in out for c in range(count + 1)]
-    # Entry order inside each prefix follows k's canonical order already.
-    return [MultiIndex._raw(tuple(e for e in entries if e)) for entries in out]
-
-
 def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
-                           weight: Optional[int] = None) -> list[MultiIndex]:
+                           weight: Optional[int] = None,
+                           bound: Optional[MultiIndex] = None) -> list[MultiIndex]:
     """Every multi-index supported on `keys` with exactly `degree` (and
-    `weight`, if given), each once, in no particular order.
+    `weight`, if given; and at most `bound` componentwise, if given), each
+    once, in no particular order.
 
     The keys are walked from the largest j down, so the weight still
     reachable with the remaining degree budget lies in
@@ -281,6 +274,7 @@ def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
     outside is cut, and no multi-index is built for it.
     """
     order = sorted(keys, key=lambda key: key[1], reverse=True)
+    caps = [degree if bound is None else bound.get(*key) for key in order]
     j_min = order[-1][1] if order else 0
     prune = weight is not None
     out: list[MultiIndex] = []
@@ -298,7 +292,7 @@ def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
         if prune and not budget * j_min <= missing <= budget * j:
             return
         rec(i + 1, budget, missing)
-        for c in range(1, budget + 1):
+        for c in range(1, min(budget, caps[i]) + 1):
             acc.append((key, c))
             rec(i + 1, budget - c, missing - c * j)
             acc.pop()
@@ -334,21 +328,21 @@ def enumerate_profiles(alphabet: Iterable[str], max_degree: int) -> list[MultiIn
 
 def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
     """Nonzero weight -1 sub-multi-indices of k, sorted by (degree, entries)."""
-    parts = [m for m in sub_multiindices(k) if m.weight() == -1 and m.degree() >= 1]
-    parts.sort(key=MultiIndex.sort_key)
-    return parts
+    keys = [key for key, _ in k.items()]
+    return [m for d in range(1, k.degree() + 1)
+            for m in sorted(multiindices_of_degree(keys, d, -1, k))]
 
 
-@cache
-def cached_profile_parts(k: MultiIndex) -> tuple[MultiIndex, ...]:
-    """`iter_profile_parts` as a tuple, memoised per multi-index."""
-    return tuple(iter_profile_parts(k))
-
-
-def profile_multisets(target: MultiIndex) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
+def profile_multisets(target: MultiIndex, parts: list[MultiIndex]
+                      ) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
     """Multisets of -weight(target) weight -1 profiles summing to target,
-    yielded as ((part, multiplicity), ...) with parts in sorted order."""
-    cands = cached_profile_parts(target)
+    yielded as ((part, multiplicity), ...) with parts in sorted order.
+
+    `parts`, sorted by (degree, entries), must hold every weight -1 part of
+    target, as `iter_profile_parts` of target or of any k >= target does:
+    the recursions walk the parts of k once for all targets k - e_j^a.
+    """
+    cands = [part for part in parts if target.includes(part)]
 
     def rec(start: int, remaining: MultiIndex, slots: int):
         # Each part has weight -1, so -weight(remaining) == slots throughout.

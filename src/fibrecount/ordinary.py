@@ -1,15 +1,28 @@
 """Plain fibre counts, multiset branch series, and the cycle-index route.
 
-F counts the fibre of a profile exactly.  The recursion chooses a fertile
-entry and distributes the remaining profile over an unordered multiset of
-branch profiles; multiset multiplicity enters through
+F counts the fibre of a profile exactly, by two independent routes.
+
+`ordinary_count`, the route `count` uses, solves the cycle-index equation
+T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
+{m <= k} and reads off the coefficient of x^k.  Every coefficient is
+>= 0, so every factor of an in-box product lies in the box and the
+truncation is exact.  The solve runs one degree at a time on monomials
+packed into one int each, and never recurses.
+
+`ordinary_count_recursive` chooses a fertile entry and distributes the
+remaining profile over an unordered multiset of branch profiles;
+multiset multiplicity enters through
 
     mlt(r, m) = C(r + m - 1, m)   for r >= 1,   delta_{0,m}  for r = 0,
 
-the number of size-m multisets from r objects.  The branch-multiset series
-H_m admits two independent computations that must agree: coefficient
-extraction from the Euler-type product over all profiles, and evaluation of
-the multiset cycle index at power-substituted copies of the F series.
+the number of size-m multisets from r objects.  The oracle checks both
+routes against brute force, and the Euler product below reads the
+recursion, so that its F does not come from the cycle-index equation.
+
+The branch-multiset series H_m admits two independent computations that
+must agree: coefficient extraction from the Euler-type product over all
+profiles, and evaluation of the multiset cycle index at power-substituted
+copies of the F series.
 
 The cycle index obeys Z_0 = 1, m Z_m = sum_{r=1..m} p_r Z_{m-r} (Polya;
 Flajolet and Sedgewick, Analytic Combinatorics I.2, MSET), so Z_0..Z_m
@@ -23,7 +36,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .multiindex import MultiIndex, enumerate_profiles, profile_multisets, unit
+from .multiindex import (MultiIndex, enumerate_profiles, iter_profile_parts,
+                         profile_multisets, unit)
 from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
@@ -36,11 +50,69 @@ def mlt(r: int, m: int) -> int:
     return math.comb(r + m - 1, m)
 
 
+def ordinary_count(k: MultiIndex) -> int:
+    """Number of trees with profile k: the coefficient of x^k in the
+    cycle-index fixpoint truncated to the box {m <= k}, solved degree by
+    degree."""
+    if k.weight() != -1:
+        raise ValueError("weight must be -1")
+    # One bit field per entry of k, one guard bit above its count.  Two
+    # in-box codes add without a carry across fields, and a code s lies in
+    # the box k // r exactly when (s + slack[r]) & guard == 0.
+    fields, offset = [], 0
+    for (_, j), c in k.items():
+        width = c.bit_length() + 1
+        fields.append((offset, width, c, j))
+        offset += width
+    guard = sum(1 << (off + w - 1) for off, w, _, _ in fields)
+    top = max(1, max(j for _, _, _, j in fields) + 1)     # a leaf still needs p_1
+    slack = [0] + [sum(((1 << (w - 1)) - 1 - c // r) << off
+                       for off, w, c, _ in fields) for r in range(1, top + 1)]
+    roots = [(1 << off, j + 1) for off, _, _, j in fields]
+    fact = [math.factorial(m) for m in range(top + 1)]
+    n = k.degree()
+    # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
+    # y[m][d]: the degree-d part of m! Z_m(p_1, p_2, ...).
+    p = [None] + [[{} for _ in range(n + 1)] for _ in range(top)]
+    y = [[{0: 1}] + [{} for _ in range(n)]] + [[{} for _ in range(n + 1)]
+                                               for _ in range(top)]
+    for d in range(1, n + 1):
+        # The degree d - 1 of the ladder, by m! Z_m = sum_r
+        # (m-1)!/(m-r)! p_r (m-r)! Z_{m-r}; the r = m term reads Y_0 = 1,
+        # and (m-r)! Z_{m-r} has no term below degree m - r.
+        for m in range(1, top + 1):
+            out = y[m][d - 1]
+            for code, v in p[m][d - 1].items():
+                out[code] = fact[m - 1] * v
+            for r in range(1, m):
+                scale, lower = fact[m - 1] // fact[m - r], y[m - r]
+                for e in range(1, (d - 1 - (m - r)) // r + 1):
+                    left, right = p[r][r * e], lower[d - 1 - r * e]
+                    for s, v in left.items():
+                        for t, w in right.items():
+                            u = s + t
+                            if not (u + slack[1]) & guard:
+                                out[u] = out.get(u, 0) + scale * v * w
+        level = p[1][d]
+        for step, m in roots:
+            for code, v in y[m][d - 1].items():
+                u = code + step
+                if not (u + slack[1]) & guard:
+                    q, rem = divmod(v, fact[m])
+                    if rem:
+                        raise ArithmeticError(f"non-integral cycle index for {k}")
+                    level[u] = level.get(u, 0) + q
+        for r in range(2, min(top, n // d) + 1):
+            p[r][r * d] = {code * r: v for code, v in level.items()
+                           if not (code + slack[r]) & guard}
+    return p[1][n].get(sum(c << off for off, _, c, _ in fields), 0)
+
+
 # A plain dict: a functools.cache wrapper would add a frame per recursion level.
 _F_MEMO: dict[MultiIndex, int] = {}
 
 
-def ordinary_count(k: MultiIndex) -> int:
+def ordinary_count_recursive(k: MultiIndex) -> int:
     """Number of trees with profile k, by the branch-multiset recursion."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
@@ -48,11 +120,12 @@ def ordinary_count(k: MultiIndex) -> int:
     if cached is not None:
         return cached
     total = 0
+    parts = iter_profile_parts(k)
     for (a, j), _ in k.items():
-        for assignment in profile_multisets(k - unit(a, j)):
+        for assignment in profile_multisets(k - unit(a, j), parts):
             prod = 1
             for part, mult in assignment:
-                prod *= mlt(ordinary_count(part), mult)
+                prod *= mlt(ordinary_count_recursive(part), mult)
                 if prod == 0:
                     break
             total += prod
@@ -118,7 +191,7 @@ def _euler_product_z(alph: tuple[str, ...],
     bound = max_degree
     prod = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * bound
     for part in enumerate_profiles(alph, bound):
-        f = ordinary_count(part)
+        f = ordinary_count_recursive(part)
         if f == 0:
             continue
         factor = [TruncatedSeries(bound, {part.scale(i): Fraction(mlt(f, i))})

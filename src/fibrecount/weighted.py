@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .multiindex import MultiIndex, profile_multisets, unit
+from .multiindex import MultiIndex, iter_profile_parts, profile_multisets, unit
 from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
@@ -81,8 +81,9 @@ def weighted_counts_recursive(k: MultiIndex) -> Fraction:
     if cached is not None:
         return cached
     total = Fraction(0)
+    parts = iter_profile_parts(k)
     for (a, j), _ in k.items():
-        for assignment in profile_multisets(k - unit(a, j)):
+        for assignment in profile_multisets(k - unit(a, j), parts):
             prod = Fraction(1)
             for part, mult in assignment:
                 prod *= weighted_counts_recursive(part) ** mult / math.factorial(mult)

@@ -7,6 +7,7 @@ import pytest
 
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
+from fibrecount.multiindex import MultiIndex
 from fibrecount.weighted import weighted_counts
 
 
@@ -145,6 +146,20 @@ def test_oracle_json(capsys):
         c["name"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("name, label", [
+    ("ordinary_count", "ordinary-count"),
+    ("ordinary_count_recursive", "ordinary-count-recursive")])
+def test_oracle_detects_each_wrong_count_route(capsys, monkeypatch, name, label):
+    # Either F route off by one on a single profile fails the oracle, under
+    # that route's own label.
+    route = getattr(cli, name)
+    wrong = MultiIndex.parse("a:-1=2,a:1=1")
+    monkeypatch.setattr(cli, name, lambda k: route(k) + (k == wrong))
+    code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
+    assert code == 1
+    assert f"mismatch: quantity={label} k={wrong} expected=1 got=2\n" in out
+
+
 def test_oracle_detects_corrupted_formula():
     # a deliberately wrong closed form must be flagged, not silently accepted
     def bad(k):
@@ -230,6 +245,18 @@ def test_count_deep_chain():
     env["PYTHONPATH"] = os.path.abspath(src)
     proc = subprocess.run(
         [sys.executable, "-m", "fibrecount", "count", "a:-1=1,a:0=600"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "F = 1\n" in proc.stdout
+
+
+def test_count_thousand_vertex_chain():
+    # Past the default recursion limit: the F count must not recurse.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibrecount", "count", "a:-1=1,a:0=1000"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "F = 1\n" in proc.stdout

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fibrecount.multiindex import (MultiIndex, ParseError, apply_shift,
                                    enumerate_multiindices, enumerate_profiles,
-                                   find_shift, sub_multiindices, unit)
+                                   find_shift, iter_profile_parts, unit)
 from fibrecount.trees import fibres_of_degree
 
 
@@ -96,12 +96,25 @@ def test_left_shift():
         mi("a:-1=1").left_shift()
 
 
-def test_sub_multiindices_counts():
-    k = mi("a:0=2,b:1=1")
-    subs = sub_multiindices(k)
-    assert len(subs) == (2 + 1) * (1 + 1)
-    assert all(k.includes(s) for s in subs)
-    assert MultiIndex([]) in subs and k in subs
+def _profile_parts_by_box(k):
+    """Every m <= k componentwise, filtered to nonzero weight -1."""
+    keys = [key for key, _ in k.items()]
+    box = [MultiIndex(dict(zip(keys, counts)))
+           for counts in itertools.product(*(range(c + 1) for _, c in k.items()))]
+    assert len(box) == len(set(box))
+    parts = [m for m in box if m.weight() == -1 and m.degree() >= 1]
+    return sorted(parts, key=lambda m: m.sort_key())
+
+
+def test_iter_profile_parts_matches_box_filter():
+    # The bounded walk against filtering the whole box of k.
+    ks = enumerate_multiindices(("a", "b"), 5, 3)
+    ks += [mi("a:-1=4,a:0=2,a:1=1,a:2=1,b:-1=3,b:0=1,b:3=1"),
+           mi("a:-1=21,a:0=20,a:1=20"), mi("a:-1=1,a:0=30"), mi("b:2=2,b:0=3")]
+    for k in ks:
+        parts = iter_profile_parts(k)
+        assert parts == _profile_parts_by_box(k), k
+        assert all(k.includes(p) for p in parts)
 
 
 # -- shifts --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from fibrecount.multiindex import MultiIndex, enumerate_profiles
 from fibrecount.ordinary import (cycle_index_set, h_series_cycle,
                                  h_series_product, mlt, ordinary_count,
-                                 ordinary_series)
+                                 ordinary_count_recursive, ordinary_series)
 from fibrecount.series import TruncatedSeries
 from fibrecount.trees import enumerate_trees, fibres_of_degree
 
@@ -38,9 +39,21 @@ def test_mlt_brute():
 
 @pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
 def test_counts_match_fibre_sizes(alphabet):
-    for n in range(1, 6):
+    for n in range(1, 8):
         for k, fibre in fibres_of_degree(n, alphabet).items():
-            assert ordinary_count(k) == len(fibre)
+            assert ordinary_count(k) == len(fibre), k
+            if n <= 5:
+                assert ordinary_count_recursive(k) == len(fibre), k
+
+
+@pytest.mark.parametrize("alphabet, max_degree",
+                         [(("a", "b"), 9), (("a", "b", "c"), 6)])
+def test_box_solve_matches_recursion(alphabet, max_degree):
+    profiles = enumerate_profiles(alphabet, max_degree)
+    if alphabet == ("a", "b"):
+        assert len(profiles) == 2076
+    for k in profiles:
+        assert ordinary_count(k) == ordinary_count_recursive(k), k
 
 
 def test_counts_sum_to_tree_totals():
@@ -53,12 +66,37 @@ def test_counts_sum_to_tree_totals():
 
 
 def test_count_examples():
-    assert ordinary_count(mi("a:-1=1")) == 1
-    assert ordinary_count(mi("a:1=1,a:0=1,a:-1=2")) == 2
-    with pytest.raises(ValueError):
-        ordinary_count(mi("a:0=1"))     # weight 0: not a profile
-    with pytest.raises(ValueError):
-        ordinary_count(MultiIndex([]))
+    for count in (ordinary_count, ordinary_count_recursive):
+        assert count(mi("a:-1=1")) == 1
+        assert count(mi("a:1=1,a:0=1,a:-1=2")) == 2
+        with pytest.raises(ValueError):
+            count(mi("a:0=1"))     # weight 0: not a profile
+        with pytest.raises(ValueError):
+            count(MultiIndex([]))
+
+
+def test_count_sixty_one_vertices():
+    # The recursion takes tens of seconds here; the box solve holds 441
+    # terms of T.
+    assert ordinary_count(mi("a:-1=21,a:0=20,a:1=20")) == 268292872860064955272
+
+
+@pytest.mark.parametrize("legs, unary", [(2, 30), (3, 100), (5, 120)])
+def test_count_spiders_match_partitions(legs, unary):
+    # A trunk and `legs` unordered legs share the unary vertices, so F is
+    # the number of partitions of 0..unary into parts of size <= legs.
+    p = [1] + [0] * unary
+    for size in range(1, legs + 1):
+        for s in range(size, unary + 1):
+            p[s] += p[s - size]
+    k = mi(f"a:-1={legs},a:0={unary},a:{legs - 1}=1")
+    assert ordinary_count(k) == sum(p)
+
+
+def test_count_long_chain_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    assert ordinary_count(mi("a:-1=1,a:0=5000")) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 # -- series -------------------------------------------------------------------------
