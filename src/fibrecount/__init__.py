@@ -20,7 +20,8 @@ from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
 from .lowering import (apply_lowering, c_coefficient, c_coefficient_tables,
                        coefficient_gf, d_coefficient, d_coefficient_recursive,
-                       lowering_power, transition_gf, transport_arrays)
+                       d_coefficient_tables, lowering_power, transition_gf,
+                       transport_arrays)
 from .coproduct import coproduct, coproduct_raw
 
 __all__ = [
@@ -35,7 +36,8 @@ __all__ = [
     "ordinary_count_recursive", "ordinary_series",
     "apply_lowering", "c_coefficient", "c_coefficient_tables",
     "coefficient_gf", "d_coefficient", "d_coefficient_recursive",
-    "lowering_power", "transition_gf", "transport_arrays",
+    "d_coefficient_tables", "lowering_power", "transition_gf",
+    "transport_arrays",
     "coproduct", "coproduct_raw",
 ]
 

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from .multiindex import (MultiIndex, ParseError, apply_shift,
@@ -26,8 +27,8 @@ from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
-from .lowering import (apply_lowering, c_coefficient_tables, d_coefficient,
-                       d_coefficient_recursive, transition_gf)
+from .lowering import (apply_lowering, c_coefficient_tables,
+                       d_coefficient_tables, transition_gf)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
 
@@ -365,7 +366,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                          f"got={_poly_str(dict(via_cycle.sorted_terms()))}")
     checks.append(("h-series-dual", min(max_n, 3) + 1, h_bad))
 
-    # Lowering: C tables against iterated lowering and transition GFs.
+    # Lowering: C tables against iterated lowering, the D tables of the D
+    # route's own recursion (same support, D = C * target!) and transition GFs.
     lower_r = 3
     lower_ks = enumerate_multiindices(alph, min(max_n, 4), 3)
 
@@ -380,14 +382,19 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                 bad.append(f"quantity=lowering-C k={k} r={r} "
                            f"expected={_poly_str(poly)} got={_poly_str(expanded)}")
                 break
+        d_tables = d_coefficient_tables(k, lower_r)
         for r in range(0, lower_r + 1):
+            for low, d in d_tables[r].items():
+                if low not in tables[r]:
+                    bad.append(f"quantity=lowering-D k={k} l={low} "
+                               f"expected=0 got={d}")
             for low, c in tables[r].items():
-                via_c = d_coefficient(k, low)
-                via_d = d_coefficient_recursive(k, low)
+                target = apply_shift(k, low)
+                via_c = c * target.symmetry_factor()
+                via_d = d_tables[r].get(low, 0)
                 if via_c != via_d:
                     bad.append(f"quantity=lowering-D k={k} l={low} "
                                f"expected={via_c} got={via_d}")
-                target = apply_shift(k, low)
                 upoly = transition_gf(k, target)
                 want = {r: Fraction(c, math.factorial(r))}
                 if upoly != want:
@@ -465,7 +472,9 @@ def cmd_oracle(args) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="fibrecount",
         description="Exact fibre counts of the decoration-fertility profile map.")
@@ -477,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="F, W, J, L for one profile")
     p.add_argument("k", help="profile, e.g. a:1=1,a:0=1,a:-1=2")
     add_format(p)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("series", help="solve a counting series by fixpoint iteration")
     p.add_argument("mode", choices=("weighted", "ordinary"))
@@ -486,19 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="lift the degree cap")
     add_format(p)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("lower", help="C coefficients of the r-th lowering iterate")
     p.add_argument("k")
     p.add_argument("r", type=int)
     add_format(p)
-    p.set_defaults(func=cmd_lower)
 
     p = sub.add_parser("transition", help="u-polynomial between two monomials")
     p.add_argument("k")
     p.add_argument("b")
     add_format(p)
-    p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("coproduct", help="tensor expansion of a profile monomial")
     p.add_argument("k")
@@ -508,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest-sigma", choices=FOREST_SIGMA_MODES,
                    default="mult-times-sigma")
     add_format(p)
-    p.set_defaults(func=cmd_coproduct)
 
     p = sub.add_parser("oracle", help="cross-check all modules against brute force")
     p.add_argument("--max-n", type=int, default=5)
@@ -518,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="lift the size caps")
     add_format(p)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -526,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .multiindex import (MultiIndex, apply_shift, iter_profile_parts,
-                         multiindices_of_degree)
-from .lowering import (_extension_keys, c_coefficient_tables,
-                       d_coefficient_recursive, lowering_power)
+from .multiindex import MultiIndex, apply_shift, iter_profile_parts
+from .lowering import (c_coefficient_tables, d_coefficient_tables,
+                       lowering_power)
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
 
@@ -107,15 +106,9 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
         return {apply_shift(b, low): Fraction(c)
                 for low, c in c_coefficient_tables(b, r)[r].items()}
     if form == "refined-D":
-        out: dict[MultiIndex, Fraction] = {}
-        for low in multiindices_of_degree(_extension_keys(b), r):
-            target = apply_shift(b, low)
-            if target is None:
-                continue
-            d = d_coefficient_recursive(b, low)
-            if d:
-                out[target] = out.get(target, 0) + Fraction(d, target.symmetry_factor())
-        return out
+        targets = ((apply_shift(b, low), d)
+                   for low, d in d_coefficient_tables(b, r)[r].items())
+        return {t: Fraction(d, t.symmetry_factor()) for t, d in targets}
     raise ValueError(f"unknown coproduct form {form!r}")
 
 

@@ -5,10 +5,14 @@ m_j^a * x^(m - e_j^a + e_{j-1}^a); entries at j = -1 are annihilated.
 Iterating r times from x^k expands as sum over lowering multi-indices l of
 order r of C[k,l] * x^(k - l + left_shift(l)), where the plain coefficients
 C and the factorial-normalized D = C * target! each satisfy their own
-one-step recursion.  The generating function in an auxiliary variable u
-factorizes over the entries of k, and its (k, b) coefficient is a sum over
-transport arrays; for reachable pairs it collapses to the single monomial
-u^|l| / |l|! * C[k,l].
+one-step recursion.  Each route keeps per-k level tables on plain tuples
+of counts over the extension keys of k (`_levels`, level r read from
+level r - 1), builds a `MultiIndex` only at the output, and keeps no memo
+across calls: `c_coefficient` and `d_coefficient_recursive` each read
+their own route's table for k.  The generating function in an auxiliary
+variable u factorizes over the entries of k, and its (k, b) coefficient is
+a sum over transport arrays; for reachable pairs it collapses to the
+single monomial u^|l| / |l|! * C[k,l].
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -19,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
 
 from .multiindex import MultiIndex, apply_shift, unit
 
@@ -59,50 +62,87 @@ def _extension_keys(k: MultiIndex) -> list[tuple[str, int]]:
     return keys
 
 
+def _levels(k: MultiIndex, max_order: int, start: int, step) -> list[dict]:
+    """Levels 0..max_order of one route's recursion on dense lowerings:
+    tuples of counts over `_extension_keys(k)`, mapped to nonzero values.
+
+    Level r extends each entry of level r - 1 by one unit at key i and adds
+    prior * step(l, i, t) to the new l, where t = k_i - l_i + l_{up(i)} is
+    the count of the new target at key i and up(i) the key one index
+    higher.  Extending a reachable l can only make that count negative, so
+    t < 0 stands for the whole reachability check.
+    """
+    if max_order < 0:
+        raise ValueError("order must be >= 0")
+    keys = _extension_keys(k)
+    kv = [k.get(*key) for key in keys]
+    up = [i + 1 if i + 1 < len(keys) and keys[i + 1][0] == a else None
+          for i, (a, _) in enumerate(keys)]
+    levels = [{(0,) * len(keys): start}]
+    for _ in range(max_order):
+        level: dict = {}
+        for base, prior in levels[-1].items():
+            for i, u in enumerate(up):
+                li = base[i] + 1
+                t = kv[i] - li + (0 if u is None else base[u])
+                if t < 0:
+                    continue
+                low = base[:i] + (li,) + base[i + 1:]
+                level[low] = level.get(low, 0) + prior * step(low, i, t)
+        levels.append({low: v for low, v in level.items() if v})
+    return levels
+
+
+def _c_levels(k: MultiIndex, max_order: int) -> list[dict]:
+    # C[k,0] = 1; the step at (a,j) is k_j^a - l_j^a + 1 + l_{j+1}^a = t + 1.
+    return _levels(k, max_order, 1, lambda low, i, t: t + 1)
+
+
+def _d_levels(k: MultiIndex, max_order: int) -> list[dict]:
+    # D[k,0] = k!; the step at (a,j) is k_{j-1}^a - l_{j-1}^a + l_j^a.
+    keys = _extension_keys(k)
+    kv = [k.get(a, j - 1) for a, j in keys]
+
+    def step(low, i, t):
+        return kv[i] + low[i] - (low[i - 1] if keys[i][1] else 0)
+    return _levels(k, max_order, k.symmetry_factor(), step)
+
+
+def _as_multiindices(k: MultiIndex, levels: list[dict]) -> list[dict[MultiIndex, int]]:
+    keys = _extension_keys(k)
+    return [{MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c)): v
+             for low, v in level.items()}
+            for level in levels]
+
+
+def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:
+    # The level |l| of one route's table for k, read at l; 0 off the support.
+    if not lowering.is_lowering():
+        raise ValueError("not a lowering multi-index")
+    keys = _extension_keys(k)
+    if any(key not in keys for key, _ in lowering.items()):
+        return 0
+    low = tuple(lowering.get(*key) for key in keys)
+    return levels_fn(k, lowering.degree())[-1].get(low, 0)
+
+
 def c_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
     """Tables of nonzero C[k,l] for |l| = 0..max_order, by the one-step
     recursion C[k,l] = sum over entries (a,j) of l of
     C[k, l - e_j^a] * (k_j^a - l_j^a + 1 + l_{j+1}^a)."""
-    if max_order < 0:
-        raise ValueError("order must be >= 0")
-    keys = _extension_keys(k)
-    levels: list[dict[MultiIndex, int]] = [{MultiIndex(): 1}]
-    for _ in range(max_order):
-        prev = levels[-1]
-        candidates: dict[MultiIndex, None] = {}
-        for base in prev:
-            for a, j in keys:
-                candidates.setdefault(base + unit(a, j), None)
-        level: dict[MultiIndex, int] = {}
-        for low in candidates:
-            if apply_shift(k, low) is None:
-                continue
-            value = 0
-            for (a, j), lj in low.items():
-                prior = prev.get(low - unit(a, j), 0)
-                if prior:
-                    value += prior * (k.get(a, j) - lj + 1 + low.get(a, j + 1))
-            if value:
-                level[low] = value
-        levels.append(level)
-    return levels
+    return _as_multiindices(k, _c_levels(k, max_order))
 
 
-@cache
+def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
+    """Tables of nonzero D[k,l] for |l| = 0..max_order, by the D route's own
+    recursion: D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
+    D[k, l - e_j^a] * (k_{j-1}^a - l_{j-1}^a + l_j^a)."""
+    return _as_multiindices(k, _d_levels(k, max_order))
+
+
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
-    """Single C[k,l] by the memoized recursion; 0 off the valid range."""
-    if not lowering.is_lowering():
-        raise ValueError("not a lowering multi-index")
-    if apply_shift(k, lowering) is None:
-        return 0
-    if not lowering:
-        return 1
-    total = 0
-    for (a, j), lj in lowering.items():
-        prior = c_coefficient(k, lowering - unit(a, j))
-        if prior:
-            total += prior * (k.get(a, j) - lj + 1 + lowering.get(a, j + 1))
-    return total
+    """Single C[k,l], read from the C table of k; 0 off the valid range."""
+    return _lookup(k, lowering, _c_levels)
 
 
 def d_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
@@ -113,23 +153,10 @@ def d_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
     return c_coefficient(k, lowering) * target.symmetry_factor()
 
 
-@cache
 def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
-    """D[k,l] by its own recursion, independent of the C route:
-    D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
-    D[k, l - e_j^a] * (k_{j-1}^a - l_{j-1}^a + l_j^a)."""
-    if not lowering.is_lowering():
-        raise ValueError("not a lowering multi-index")
-    if apply_shift(k, lowering) is None:
-        return 0
-    if not lowering:
-        return k.symmetry_factor()
-    total = 0
-    for (a, j), lj in lowering.items():
-        prior = d_coefficient_recursive(k, lowering - unit(a, j))
-        if prior:
-            total += prior * (k.get(a, j - 1) - lowering.get(a, j - 1) + lj)
-    return total
+    """Single D[k,l], read from the D table of k, which its own recursion
+    builds independently of the C route; 0 off the valid range."""
+    return _lookup(k, lowering, _d_levels)
 
 
 def _upoly_mul(left: UPolynomial, right: UPolynomial) -> UPolynomial:

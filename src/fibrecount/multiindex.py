@@ -17,13 +17,15 @@ Formatting always emits canonical order; parsing accepts entries in any
 order but rejects duplicate ``(decoration, j)`` keys.
 
 One walker, `multiindices_of_degree`, serves the box
-(`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`),
-the weight -1 parts of a profile (`iter_profile_parts`, bounded by it)
-and the refined-D lowerings.  It takes the keys from the largest j down
-and, given a target weight, cuts each branch whose missing weight the
+(`enumerate_multiindices`) and the weight -1 profiles
+(`enumerate_profiles`).  It takes the keys from the largest j down and,
+given a target weight, cuts each branch whose missing weight the
 remaining degree can no longer reach, so profiles are generated rather
-than filtered from the box.  `profile_multisets` walks the branch
-multisets that the F and W recursions share.
+than filtered from the box.  `iter_profile_parts` walks the weight -1
+parts of a profile the same way in one pass over all degrees, its weight
+window set by the counts of the entries still to come.
+`profile_multisets` walks the branch multisets that the F and W
+recursions share.
 """
 
 from __future__ import annotations
@@ -262,11 +264,9 @@ def find_shift(k: MultiIndex, b: MultiIndex) -> Optional[MultiIndex]:
 
 
 def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
-                           weight: Optional[int] = None,
-                           bound: Optional[MultiIndex] = None) -> list[MultiIndex]:
+                           weight: Optional[int] = None) -> list[MultiIndex]:
     """Every multi-index supported on `keys` with exactly `degree` (and
-    `weight`, if given; and at most `bound` componentwise, if given), each
-    once, in no particular order.
+    `weight`, if given), each once, in no particular order.
 
     The keys are walked from the largest j down, so the weight still
     reachable with the remaining degree budget lies in
@@ -274,7 +274,6 @@ def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
     outside is cut, and no multi-index is built for it.
     """
     order = sorted(keys, key=lambda key: key[1], reverse=True)
-    caps = [degree if bound is None else bound.get(*key) for key in order]
     j_min = order[-1][1] if order else 0
     prune = weight is not None
     out: list[MultiIndex] = []
@@ -292,7 +291,7 @@ def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
         if prune and not budget * j_min <= missing <= budget * j:
             return
         rec(i + 1, budget, missing)
-        for c in range(1, min(budget, caps[i]) + 1):
+        for c in range(1, budget + 1):
             acc.append((key, c))
             rec(i + 1, budget - c, missing - c * j)
             acc.pop()
@@ -327,10 +326,37 @@ def enumerate_profiles(alphabet: Iterable[str], max_degree: int) -> list[MultiIn
 
 
 def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
-    """Nonzero weight -1 sub-multi-indices of k, sorted by (degree, entries)."""
-    keys = [key for key, _ in k.items()]
-    return [m for d in range(1, k.degree() + 1)
-            for m in sorted(multiindices_of_degree(keys, d, -1, k))]
+    """Nonzero weight -1 sub-multi-indices of k, sorted by (degree, entries).
+
+    One walk over the entries of k from the largest j down, every degree at
+    once: the weight the remaining entries can still add lies between the
+    sums of their negative and of their positive c * j, and a branch whose
+    missing weight falls outside that window is cut.
+    """
+    order = sorted(k.items(), key=lambda kv: kv[0][1], reverse=True)
+    low, high = [0] * (len(order) + 1), [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        (_, j), c = order[i]
+        low[i] = low[i + 1] + min(0, c * j)
+        high[i] = high[i + 1] + max(0, c * j)
+    out: list[MultiIndex] = []
+    acc: list = []
+
+    def rec(i: int, missing: int) -> None:
+        if not low[i] <= missing <= high[i]:
+            return
+        if i == len(order):
+            out.append(MultiIndex._raw(tuple(sorted(acc))))
+            return
+        key, cap = order[i]
+        rec(i + 1, missing)
+        for c in range(1, cap + 1):
+            acc.append((key, c))
+            rec(i + 1, missing - c * key[1])
+            acc.pop()
+
+    rec(0, -1)
+    return sorted(out, key=MultiIndex.sort_key)
 
 
 def profile_multisets(target: MultiIndex, parts: list[MultiIndex]

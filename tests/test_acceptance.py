@@ -20,8 +20,7 @@ import pytest
 from fibrecount.cli import run_oracle
 from fibrecount.coproduct import DECOMPOSITION_MODES, coproduct
 from fibrecount.lowering import (apply_lowering, c_coefficient_tables,
-                                 d_coefficient, d_coefficient_recursive,
-                                 transition_gf)
+                                 d_coefficient_tables, transition_gf)
 from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, enumerate_profiles,
                                    unit)
@@ -145,15 +144,17 @@ def test_criterion_7_lowering_threeway():
                       "two-letter grid (degree <= 6, index <= 4, order <= 4)"):
         for k in enumerate_multiindices(("a", "b"), 6, 4):
             tables = c_coefficient_tables(k, 4)
+            d_tables = d_coefficient_tables(k, 4)
             poly = {k: 1}
             for r in range(1, 5):
                 poly = apply_lowering(poly)
                 expanded = {apply_shift(k, low): c for low, c in tables[r].items()}
                 assert expanded == poly, (k, r)
             for r in range(5):
+                assert d_tables[r].keys() == tables[r].keys(), (k, r)
                 for low, c in tables[r].items():
-                    assert d_coefficient(k, low) == d_coefficient_recursive(k, low), (k, low)
                     target = apply_shift(k, low)
+                    assert d_tables[r][low] == c * target.symmetry_factor(), (k, low)
                     assert transition_gf(k, target) == \
                         {r: Fraction(c, math.factorial(r))}, (k, low)
 

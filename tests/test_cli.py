@@ -160,6 +160,26 @@ def test_oracle_detects_each_wrong_count_route(capsys, monkeypatch, name, label)
     assert f"mismatch: quantity={label} k={wrong} expected=1 got=2\n" in out
 
 
+@pytest.mark.parametrize("low, expected", [
+    ("a:0=1,a:1=1", 1),    # an entry of the support
+    ("a:0=2", 0)])         # an entry off the C table's support
+def test_oracle_detects_wrong_d_table(capsys, monkeypatch, low, expected):
+    # A D table off by one at one order-2 entry fails the oracle as lowering-D.
+    tables = cli.d_coefficient_tables
+    k, low = MultiIndex.parse("a:1=1"), MultiIndex.parse(low)
+
+    def wrong(kk, max_order):
+        out = tables(kk, max_order)
+        if kk == k:
+            out[2][low] = out[2].get(low, 0) + 1
+        return out
+    monkeypatch.setattr(cli, "d_coefficient_tables", wrong)
+    code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
+    assert code == 1
+    assert (f"mismatch: quantity=lowering-D k={k} l={low} "
+            f"expected={expected} got={expected + 1}\n") in out
+
+
 def test_oracle_detects_corrupted_formula():
     # a deliberately wrong closed form must be flagged, not silently accepted
     def bad(k):

@@ -44,8 +44,10 @@ def test_forms_agree(form, mode):
 
 
 def test_refined_d_lowerings_are_every_vector_of_the_order():
-    # refined-D sums over the order-r lowerings on b's extension keys; each
-    # must come once, and none may be missing.
+    # The degree walker on b's extension keys yields every order-r lowering
+    # once, and none is missing.  Refined-D reads the D table of b instead
+    # of walking them, but the plain D recursion in test_lowering takes its
+    # lowerings from this walk.
     for text in ("a:-1=1", "a:-1=2,a:1=1", "a:-1=3,a:0=1,a:2=1", "a:-1=2,a:0=1,b:1=1"):
         b = mi(text)
         keys = _extension_keys(b)

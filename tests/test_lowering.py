@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from fibrecount.multiindex import (MultiIndex, apply_shift,
-                                   enumerate_multiindices, find_shift, unit)
+                                   enumerate_multiindices, find_shift,
+                                   multiindices_of_degree, unit)
 from fibrecount.lowering import (apply_lowering, c_coefficient,
                                  c_coefficient_tables, coefficient_gf,
                                  d_coefficient, d_coefficient_recursive,
-                                 lowering_power, transition_gf,
-                                 transport_arrays)
+                                 d_coefficient_tables, lowering_power,
+                                 transition_gf, transport_arrays)
 
 
 def mi(text):
@@ -106,6 +107,68 @@ def test_d_recursions_agree_small_grid():
         for r in range(4):
             for low in tables[r]:
                 assert d_coefficient(k, low) == d_coefficient_recursive(k, low)
+
+
+def _plain_d(k, low, memo):
+    """D[k,l] entry by entry, straight from its recursion on multi-indices."""
+    if low not in memo:
+        if apply_shift(k, low) is None:
+            memo[low] = 0
+        elif not low:
+            memo[low] = k.symmetry_factor()
+        else:
+            memo[low] = sum(_plain_d(k, low - unit(a, j), memo)
+                            * (k.get(a, j - 1) - low.get(a, j - 1) + lj)
+                            for (a, j), lj in low.items())
+    return memo[low]
+
+
+def test_d_tables_match_plain_d_recursion():
+    for k in enumerate_multiindices(("a", "b"), 4, 3):
+        tables = d_coefficient_tables(k, 4)
+        keys = [(a, j) for a in k.decorations() for j in range(k.max_index(a) + 1)]
+        memo = {}
+        for r in range(5):
+            plain = {low: _plain_d(k, low, memo)
+                     for low in multiindices_of_degree(keys, r)}
+            assert tables[r] == {low: d for low, d in plain.items() if d}, (k, r)
+
+
+def test_c_tables_match_iterated_lowering_on_large_monomials():
+    # Catalogue-sized monomials at high orders: the tables build each
+    # lowering from a reachable one and test reachability at the new key
+    # only, which deep levels exercise.
+    for text, order in (("a:-1=2,a:0=3,a:1=2,a:2=2,a:3=1,a:4=2", 8),
+                        ("a:0=4,a:2=3,a:4=2,b:1=3", 7),
+                        ("a:-1=3,a:1=2,a:3=2,b:0=2,b:2=3,b:4=1", 8),
+                        ("a:1=3,a:3=1,b:-1=2,b:0=3,b:1=2,b:4=3", 6),
+                        ("a:0=2,a:1=2,a:2=2,a:3=2,a:4=2,b:2=2,b:3=1", 7)):
+        k = mi(text)
+        assert 12 <= k.degree() <= 14
+        tables = c_coefficient_tables(k, order)
+        poly = {k: 1}
+        for r in range(1, order + 1):
+            poly = apply_lowering(poly)
+            expanded = {apply_shift(k, low): c for low, c in tables[r].items()}
+            assert expanded == poly, (k, r)
+
+
+def test_single_coefficients_read_their_own_table():
+    k = mi("a:2=1,a:1=2,a:0=1,b:1=1")
+    c_tables, d_tables = c_coefficient_tables(k, 4), d_coefficient_tables(k, 4)
+    for r in range(5):
+        assert set(c_tables[r]) == set(d_tables[r])
+        for low, c in c_tables[r].items():
+            assert c_coefficient(k, low) == c
+            assert d_coefficient_recursive(k, low) == d_tables[r][low]
+    # off the extension keys, or unreachable: zero; not a lowering: an error
+    assert d_coefficient_recursive(k, mi("a:3=1")) == 0
+    assert d_coefficient_recursive(k, mi("b:0=3")) == 0
+    assert c_coefficient(k, mi("c:0=1")) == 0
+    with pytest.raises(ValueError):
+        d_coefficient_recursive(k, mi("a:-1=1"))
+    with pytest.raises(ValueError):
+        d_coefficient_tables(k, -1)
 
 
 # -- generating function views -------------------------------------------------------
