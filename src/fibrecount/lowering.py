@@ -141,12 +141,18 @@ def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex,
 
 
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
-    """Single C[k,l], read from the C table of k; 0 off the valid range."""
+    """Single C[k,l], read from the C table of k; 0 off the valid range.
+
+    Each call builds the C table of k up to order |l|; read many entries
+    of one k from `c_coefficient_tables`."""
     return _lookup(k, lowering, _c_levels)
 
 
 def d_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
-    """D[k,l] = C[k,l] * (k - l + left_shift(l))!, or 0 when unreachable."""
+    """D[k,l] = C[k,l] * (k - l + left_shift(l))!, or 0 when unreachable.
+
+    Each call builds the C table of k up to order |l|; read many entries
+    of one k from `c_coefficient_tables`."""
     target = apply_shift(k, lowering)
     if target is None:
         return 0
@@ -155,7 +161,10 @@ def d_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
 
 def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
     """Single D[k,l], read from the D table of k, which its own recursion
-    builds independently of the C route; 0 off the valid range."""
+    builds independently of the C route; 0 off the valid range.
+
+    Each call builds the D table of k up to order |l|; read many entries
+    of one k from `d_coefficient_tables`."""
     return _lookup(k, lowering, _d_levels)
 
 

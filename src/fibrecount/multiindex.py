@@ -17,15 +17,13 @@ Formatting always emits canonical order; parsing accepts entries in any
 order but rejects duplicate ``(decoration, j)`` keys.
 
 One walker, `multiindices_of_degree`, serves the box
-(`enumerate_multiindices`) and the weight -1 profiles
-(`enumerate_profiles`).  It takes the keys from the largest j down and,
-given a target weight, cuts each branch whose missing weight the
-remaining degree can no longer reach, so profiles are generated rather
-than filtered from the box.  `iter_profile_parts` walks the weight -1
-parts of a profile the same way in one pass over all degrees, its weight
-window set by the counts of the entries still to come.
-`profile_multisets` walks the branch multisets that the F and W
-recursions share.
+(`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`)
+and, in one walk over all degrees bounded by the profile, the weight -1
+parts of a profile (`iter_profile_parts`).  It takes the keys from the
+largest j down and, given a target weight, cuts each branch whose missing
+weight the remaining keys can no longer reach, so profiles are generated
+rather than filtered from the box.  `profile_multisets` walks the branch
+multisets that the F and W recursions share.
 """
 
 from __future__ import annotations
@@ -263,40 +261,49 @@ def find_shift(k: MultiIndex, b: MultiIndex) -> Optional[MultiIndex]:
     return lowering
 
 
-def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: int,
-                           weight: Optional[int] = None) -> list[MultiIndex]:
-    """Every multi-index supported on `keys` with exactly `degree` (and
-    `weight`, if given), each once, in no particular order.
+def multiindices_of_degree(keys: Iterable[tuple[str, int]], degree: Optional[int],
+                           weight: Optional[int] = None,
+                           bound: Optional[MultiIndex] = None) -> list[MultiIndex]:
+    """Every multi-index supported on `keys` with exactly `degree` (any
+    degree if `degree` is None, which needs a `bound`), with `weight` if
+    given and at most `bound` componentwise if given, each once, in no
+    particular order.
 
-    The keys are walked from the largest j down, so the weight still
-    reachable with the remaining degree budget lies in
-    [budget * j_min, budget * j]; a branch whose missing weight falls
-    outside is cut, and no multi-index is built for it.
+    The keys are walked from the largest j down, and a branch whose missing
+    weight the keys still to come can no longer add is cut, with no
+    multi-index built for it.  With `degree` fixed that weight lies in
+    [budget * j_min, budget * j] for the degree budget left; with any
+    degree, between the sums of the negative and of the positive cap * j
+    over the keys still to come.
     """
     order = sorted(keys, key=lambda key: key[1], reverse=True)
+    caps = [degree if bound is None else bound.get(*key) for key in order]
     j_min = order[-1][1] if order else 0
     prune = weight is not None
+    low, high = [0] * (len(order) + 1), [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        reach = caps[i] * order[i][1]
+        low[i], high[i] = low[i + 1] + min(0, reach), high[i + 1] + max(0, reach)
     out: list[MultiIndex] = []
     acc: list = []
 
     def rec(i: int, budget: int, missing: int) -> None:
-        if budget == 0:
-            if not prune or missing == 0:
+        if budget == 0 or i == len(order):
+            if (budget == 0 or degree is None) and (not prune or missing == 0):
                 out.append(MultiIndex._raw(tuple(sorted(acc))))
-            return
-        if i == len(order):
             return
         key = order[i]
         j = key[1]
-        if prune and not budget * j_min <= missing <= budget * j:
+        if prune and not (budget * j_min <= missing <= budget * j if degree is not None
+                          else low[i] <= missing <= high[i]):
             return
         rec(i + 1, budget, missing)
-        for c in range(1, budget + 1):
+        for c in range(1, min(budget, caps[i]) + 1):
             acc.append((key, c))
             rec(i + 1, budget - c, missing - c * j)
             acc.pop()
 
-    rec(0, degree, weight or 0)
+    rec(0, sum(caps) if degree is None else degree, weight or 0)
     return out
 
 
@@ -326,37 +333,10 @@ def enumerate_profiles(alphabet: Iterable[str], max_degree: int) -> list[MultiIn
 
 
 def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
-    """Nonzero weight -1 sub-multi-indices of k, sorted by (degree, entries).
-
-    One walk over the entries of k from the largest j down, every degree at
-    once: the weight the remaining entries can still add lies between the
-    sums of their negative and of their positive c * j, and a branch whose
-    missing weight falls outside that window is cut.
-    """
-    order = sorted(k.items(), key=lambda kv: kv[0][1], reverse=True)
-    low, high = [0] * (len(order) + 1), [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        (_, j), c = order[i]
-        low[i] = low[i + 1] + min(0, c * j)
-        high[i] = high[i + 1] + max(0, c * j)
-    out: list[MultiIndex] = []
-    acc: list = []
-
-    def rec(i: int, missing: int) -> None:
-        if not low[i] <= missing <= high[i]:
-            return
-        if i == len(order):
-            out.append(MultiIndex._raw(tuple(sorted(acc))))
-            return
-        key, cap = order[i]
-        rec(i + 1, missing)
-        for c in range(1, cap + 1):
-            acc.append((key, c))
-            rec(i + 1, missing - c * key[1])
-            acc.pop()
-
-    rec(0, -1)
-    return sorted(out, key=MultiIndex.sort_key)
+    """Nonzero weight -1 sub-multi-indices of k, sorted by (degree, entries),
+    from one walk over all degrees."""
+    keys = [key for key, _ in k.items()]
+    return sorted(multiindices_of_degree(keys, None, -1, k), key=MultiIndex.sort_key)
 
 
 def profile_multisets(target: MultiIndex, parts: list[MultiIndex]

@@ -74,8 +74,6 @@ def ordinary_count(k: MultiIndex) -> int:
     # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
     # y[m][d]: the degree-d part of m! Z_m(p_1, p_2, ...).
     p = [None] + [[{} for _ in range(n + 1)] for _ in range(top)]
-    # rungs[r]: the nonempty degrees of p_r, ascending, with their parts.
-    rungs = [None] + [[] for _ in range(top)]
     y = [[{0: 1}] + [{} for _ in range(n)]] + [[{} for _ in range(n + 1)]
                                                for _ in range(top)]
     for d in range(1, n + 1):
@@ -88,13 +86,8 @@ def ordinary_count(k: MultiIndex) -> int:
                 out[code] = fact[m - 1] * v
             for r in range(1, m):
                 scale, lower = fact[m - 1] // fact[m - r], y[m - r]
-                last = d - 1 - (m - r)
-                for de, left in rungs[r]:
-                    if de > last:
-                        break
-                    right = lower[d - 1 - de]
-                    if not right:
-                        continue
+                for e in range(1, (d - 1 - (m - r)) // r + 1):
+                    left, right = p[r][r * e], lower[d - 1 - r * e]
                     for s, v in left.items():
                         for t, w in right.items():
                             u = s + t
@@ -109,12 +102,9 @@ def ordinary_count(k: MultiIndex) -> int:
                     if rem:
                         raise ArithmeticError(f"non-integral cycle index for {k}")
                     level[u] = level.get(u, 0) + q
-        for r in range(1, min(top, n // d) + 1):
-            part = level if r == 1 else {code * r: v for code, v in level.items()
-                                         if not (code + slack[r]) & guard}
-            p[r][r * d] = part
-            if part:
-                rungs[r].append((r * d, part))
+        for r in range(2, min(top, n // d) + 1):
+            p[r][r * d] = {code * r: v for code, v in level.items()
+                           if not (code + slack[r]) & guard}
     return p[1][n].get(sum(c << off for off, _, c, _ in fields), 0)
 
 

@@ -103,10 +103,10 @@ def test_d_is_c_times_target_factorial():
 
 def test_d_recursions_agree_small_grid():
     for k in enumerate_multiindices(("a", "b"), 3, 2):
-        tables = c_coefficient_tables(k, 3)
+        c_tables, d_tables = c_coefficient_tables(k, 3), d_coefficient_tables(k, 3)
         for r in range(4):
-            for low in tables[r]:
-                assert d_coefficient(k, low) == d_coefficient_recursive(k, low)
+            assert d_tables[r] == {low: c * apply_shift(k, low).symmetry_factor()
+                                   for low, c in c_tables[r].items()}
 
 
 def _plain_d(k, low, memo):
@@ -160,6 +160,7 @@ def test_single_coefficients_read_their_own_table():
         assert set(c_tables[r]) == set(d_tables[r])
         for low, c in c_tables[r].items():
             assert c_coefficient(k, low) == c
+            assert d_coefficient(k, low) == d_tables[r][low]
             assert d_coefficient_recursive(k, low) == d_tables[r][low]
     # off the extension keys, or unreachable: zero; not a lowering: an error
     assert d_coefficient_recursive(k, mi("a:3=1")) == 0
@@ -200,12 +201,14 @@ def test_transition_example():
 def test_transition_is_single_monomial():
     # reachable pairs carry exactly one u-power: |l| with weight C/|l|!
     k = mi("a:2=1,a:0=1")
-    for target, upoly in coefficient_gf(k).items():
-        low = find_shift(k, target)
-        assert low is not None
-        r = low.degree()
+    gf = coefficient_gf(k)
+    lows = {target: find_shift(k, target) for target in gf}
+    assert None not in lows.values()
+    tables = c_coefficient_tables(k, max(low.degree() for low in lows.values()))
+    for target, upoly in gf.items():
+        r = lows[target].degree()
         assert list(upoly) == [r]
-        assert upoly[r] == Fraction(c_coefficient(k, low), math.factorial(r))
+        assert upoly[r] == Fraction(tables[r][lows[target]], math.factorial(r))
 
 
 # -- transport arrays ----------------------------------------------------------------
