@@ -22,8 +22,11 @@ and, in one walk over all degrees bounded by the profile, the weight -1
 parts of a profile (`iter_profile_parts`).  It takes the keys from the
 largest j down and, given a target weight, cuts each branch whose missing
 weight the remaining keys can no longer reach, so profiles are generated
-rather than filtered from the box.  `profile_multisets` walks the branch
-multisets that the F and W recursions share.
+rather than filtered from the box.  `branch_multisets` walks the branch
+multisets that the F and W recursions share, for every part of a profile
+in (degree, entries) order, so both recursions run bottom-up.  It packs
+the parts into ints in the profile's layout (`packed_layout`), which
+`ordinary.ordinary_count` also uses.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Container, Iterable, Iterator, Optional, Union
 
 _ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*):(-?\d+)=(\d+)\Z")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -339,33 +342,83 @@ def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
     return sorted(multiindices_of_degree(keys, None, -1, k), key=MultiIndex.sort_key)
 
 
-def profile_multisets(target: MultiIndex, parts: list[MultiIndex]
-                      ) -> Iterator[tuple[tuple[MultiIndex, int], ...]]:
-    """Multisets of -weight(target) weight -1 profiles summing to target,
-    yielded as ((part, multiplicity), ...) with parts in sorted order.
+def packed_layout(k: MultiIndex) -> tuple[dict[tuple[str, int], int], int]:
+    """The packed-int layout of the multi-indices m <= k: the bit offset of
+    each entry of k, and the mask of the guard bits.
 
-    `parts`, sorted by (degree, entries), must hold every weight -1 part of
-    target, as `iter_profile_parts` of target or of any k >= target does:
-    the recursions walk the parts of k once for all targets k - e_j^a.
+    Each entry of k gets one field, one bit wider than its count, and the
+    top bit of the field is its guard bit.  The code of m is
+    sum m_key << offset[key].  The sum of two codes in the box fits in
+    every field, guard bit included, so codes add without a carry across
+    fields.  For r and m in the box, m <= r exactly when
+    ((code(r) | guard) - code(m)) has every guard bit set, and that
+    difference less the guard is code(r - m).
     """
-    cands = [part for part in parts if target.includes(part)]
+    offsets: dict[tuple[str, int], int] = {}
+    top = guard = 0
+    for key, c in k.items():
+        offsets[key] = top
+        top += c.bit_length() + 1
+        guard |= 1 << (top - 1)
+    return offsets, guard
 
-    def rec(start: int, remaining: MultiIndex, slots: int):
-        # Each part has weight -1, so -weight(remaining) == slots throughout.
-        if slots == 0:
-            if remaining.degree() == 0:
-                yield ()
+
+def branch_multisets(k: MultiIndex, skip: Container = ()
+                     ) -> Iterator[tuple[MultiIndex,
+                                         Iterator[tuple[tuple[MultiIndex, int], ...]]]]:
+    """Every weight -1 part p of the profile k not in `skip`, with its
+    branch multisets: for every entry (a, j) of p, each multiset of j + 1
+    weight -1 profiles summing to p - e_j^a, as ((part, multiplicity), ...)
+    with the parts in (degree, entries) order.  The leaf e_{-1}^a has one,
+    empty.  The parts come in (degree, entries) order, so each branch of p
+    comes before p, and k comes last.
+
+    The parts of k are walked once (`iter_profile_parts`) and packed once in
+    k's layout (`packed_layout`), where an inclusion test with the
+    subtraction it guards is one subtraction and one mask test.  `skip` is
+    read as each part comes up, so a caller that fills a memo from the
+    yielded parts can pass that memo.
+    """
+    if k.weight() != -1:
+        raise ValueError("weight must be -1")
+    parts = iter_profile_parts(k)
+    parts[-1] = k     # equal, and a memo keyed by the parts holds no copy of k
+    offsets, guard = packed_layout(k)
+    # Codes carry their guard bits, so a subtraction that stays in the box
+    # leaves every guard bit set.
+    codes = [guard + sum(c << offsets[key] for key, c in part.items()) for part in parts]
+    degrees = [part.degree() for part in parts]
+    index = {code: i for i, code in enumerate(codes)}
+
+    def rec(start: int, left: int, degree: int, slots: int):
+        # left = guard + code of what is still to cover, of weight -slots.
+        if slots <= 1:
+            if slots == 0:
+                if left == guard:
+                    yield ()
+            else:
+                i = index.get(left, -1)
+                if i >= start:
+                    yield ((parts[i], 1),)
             return
-        if remaining.degree() < slots:
-            return
-        for i in range(start, len(cands)):
-            part = cands[i]
-            mult = 1
-            left = remaining
-            while mult <= slots and left.includes(part):
-                left = left - part
-                for tail in rec(i + 1, left, slots - mult):
+        for i in range(start, len(parts)):
+            size = degrees[i]
+            if size * slots > degree:
+                break     # the parts from i on are no smaller
+            part, code = parts[i], codes[i] - guard
+            rest, mult = left - code, 1
+            while mult < slots and rest & guard == guard:
+                for tail in rec(i + 1, rest, degree - mult * size, slots - mult):
                     yield ((part, mult),) + tail
+                rest -= code
                 mult += 1
+            if mult == slots and rest == guard:
+                yield ((part, mult),)
 
-    yield from rec(0, target, -target.weight())
+    def multisets(i: int):
+        for (a, j), _ in parts[i].items():
+            yield from rec(0, codes[i] - (1 << offsets[(a, j)]), degrees[i] - 1, j + 1)
+
+    for i, part in enumerate(parts):
+        if part not in skip:
+            yield part, multisets(i)

@@ -7,7 +7,7 @@ T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
 {m <= k} and reads off the coefficient of x^k.  Every coefficient is
 >= 0, so every factor of an in-box product lies in the box and the
 truncation is exact.  The solve runs one degree at a time on monomials
-packed into one int each, and never recurses.
+packed into one int each (`multiindex.packed_layout`), and never recurses.
 
 `ordinary_count_recursive` chooses a fertile entry and distributes the
 remaining profile over an unordered multiset of branch profiles;
@@ -15,9 +15,11 @@ multiset multiplicity enters through
 
     mlt(r, m) = C(r + m - 1, m)   for r >= 1,   delta_{0,m}  for r = 0,
 
-the number of size-m multisets from r objects.  The oracle checks both
-routes against brute force, and the Euler product below reads the
-recursion, so that its F does not come from the cycle-index equation.
+the number of size-m multisets from r objects.  It walks the branch
+multisets of `multiindex.branch_multisets` bottom-up over the parts of the
+profile, so it never recurses either.  The oracle checks both routes
+against brute force, and the Euler product below reads the recursion, so
+that its F does not come from the cycle-index equation.
 
 The branch-multiset series H_m admits two independent computations that
 must agree: coefficient extraction from the Euler-type product over all
@@ -36,8 +38,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .multiindex import (MultiIndex, enumerate_profiles, iter_profile_parts,
-                         profile_multisets, unit)
+from .multiindex import (MultiIndex, branch_multisets, enumerate_profiles,
+                         packed_layout)
 from .series import TruncatedSeries, attach_roots, solve_fixpoint
 
 
@@ -56,19 +58,15 @@ def ordinary_count(k: MultiIndex) -> int:
     degree."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
-    # One bit field per entry of k, one guard bit above its count.  Two
-    # in-box codes add without a carry across fields, and a code s lies in
-    # the box k // r exactly when (s + slack[r]) & guard == 0.
-    fields, offset = [], 0
-    for (_, j), c in k.items():
-        width = c.bit_length() + 1
-        fields.append((offset, width, c, j))
-        offset += width
-    guard = sum(1 << (off + w - 1) for off, w, _, _ in fields)
-    top = max(1, max(j for _, _, _, j in fields) + 1)     # a leaf still needs p_1
-    slack = [0] + [sum(((1 << (w - 1)) - 1 - c // r) << off
-                       for off, w, c, _ in fields) for r in range(1, top + 1)]
-    roots = [(1 << off, j + 1) for off, _, _, j in fields]
+    # Codes in k's packed layout: a code s lies in the box k // r exactly
+    # when (s + slack[r]) & guard == 0, where slack[r] fills each field up
+    # to its guard bit less the count of k // r.
+    offsets, guard = packed_layout(k)
+    fill = (1 << guard.bit_length()) - 1 - guard
+    top = max(1, max(j for (_, j), _ in k.items()) + 1)     # a leaf still needs p_1
+    slack = [0] + [fill - sum((c // r) << offsets[key] for key, c in k.items())
+                   for r in range(1, top + 1)]
+    roots = [(1 << offsets[(a, j)], j + 1) for (a, j), _ in k.items()]
     fact = [math.factorial(m) for m in range(top + 1)]
     n = k.degree()
     # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
@@ -105,32 +103,29 @@ def ordinary_count(k: MultiIndex) -> int:
         for r in range(2, min(top, n // d) + 1):
             p[r][r * d] = {code * r: v for code, v in level.items()
                            if not (code + slack[r]) & guard}
-    return p[1][n].get(sum(c << off for off, _, c, _ in fields), 0)
+    return p[1][n].get(sum(c << offsets[key] for key, c in k.items()), 0)
 
 
-# A plain dict: a functools.cache wrapper would add a frame per recursion level.
+# F of every profile met so far.  A call fills it bottom-up over the parts
+# of k, each from branches already in it, so nothing recurses.
 _F_MEMO: dict[MultiIndex, int] = {}
 
 
 def ordinary_count_recursive(k: MultiIndex) -> int:
-    """Number of trees with profile k, by the branch-multiset recursion."""
+    """Number of trees with profile k, by the branch-multiset recursion,
+    evaluated bottom-up over the weight -1 parts of k."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
-    cached = _F_MEMO.get(k)
-    if cached is not None:
-        return cached
-    total = 0
-    parts = iter_profile_parts(k)
-    for (a, j), _ in k.items():
-        for assignment in profile_multisets(k - unit(a, j), parts):
-            prod = 1
-            for part, mult in assignment:
-                prod *= mlt(ordinary_count_recursive(part), mult)
-                if prod == 0:
-                    break
-            total += prod
-    _F_MEMO[k] = total
-    return total
+    if k not in _F_MEMO:
+        for part, multisets in branch_multisets(k, _F_MEMO):
+            total = 0
+            for multiset in multisets:
+                prod = 1
+                for branch, mult in multiset:
+                    prod *= mlt(_F_MEMO[branch], mult)
+                total += prod
+            _F_MEMO[part] = total
+    return _F_MEMO[k]
 
 
 def cycle_index_set(m: int, power_values: Sequence) -> list:

@@ -162,10 +162,11 @@ def _child_multisets(pool, sizes, budget):
             yield tuple(acc)
             return
         for i in range(start, len(pool)):
-            if sizes[i] <= remaining:
-                acc.append(pool[i])
-                yield from rec(i, remaining - sizes[i])
-                acc.pop()
+            if sizes[i] > remaining:
+                break     # the pool is in size order
+            acc.append(pool[i])
+            yield from rec(i, remaining - sizes[i])
+            acc.pop()
 
     yield from rec(0, budget)
 

@@ -1,11 +1,13 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fibrecount.multiindex import (MultiIndex, ParseError, apply_shift,
-                                   enumerate_multiindices, enumerate_profiles,
-                                   find_shift, iter_profile_parts, unit)
+                                   branch_multisets, enumerate_multiindices,
+                                   enumerate_profiles, find_shift,
+                                   iter_profile_parts, unit)
 from fibrecount.trees import fibres_of_degree
 
 
@@ -115,6 +117,40 @@ def test_iter_profile_parts_matches_box_filter():
         parts = iter_profile_parts(k)
         assert parts == _profile_parts_by_box(k), k
         assert all(k.includes(p) for p in parts)
+
+
+def _branch_multisets_by_combinations(k):
+    """For every entry (a, j) of k, each multiset of j + 1 weight -1 parts
+    of k summing to k - e_j^a, from all combinations with repetition."""
+    parts = _profile_parts_by_box(k)
+    out = []
+    for (a, j), _ in k.items():
+        target = k - unit(a, j)
+        for combo in itertools.combinations_with_replacement(parts, j + 1):
+            if sum(combo, MultiIndex()) == target:
+                out.append(tuple(Counter(combo).items()))
+    return out
+
+
+# Counts at the edges of the packed field widths: 1, 3, 7 and 15 fill a
+# field below its guard bit, 4, 8 and 16 need one bit more.
+FIELD_EDGE_PROFILES = ["a:-1=4,a:0=1,a:1=3", "a:-1=8,a:0=4,a:1=7",
+                       "a:-1=16,a:1=15", "a:-1=7,a:0=8,b:3=2",
+                       "a:-1=3,b:0=16,b:1=2", "a:-1=1,a:0=15",
+                       "a:-1=7,a:0=1,a:1=4,b:2=1"]
+
+
+def test_branch_multisets_match_combinations():
+    ks = (enumerate_profiles(("a", "b"), 7) + enumerate_profiles(("a", "b", "c"), 5)
+          + [mi(text) for text in FIELD_EDGE_PROFILES])
+    for k in ks:
+        walked = list(branch_multisets(k))
+        parts = [part for part, _ in walked]
+        assert parts == iter_profile_parts(k), k
+        assert sorted(walked[-1][1]) == sorted(_branch_multisets_by_combinations(k)), k
+        assert [part for part, _ in branch_multisets(k, set(parts[:-1]))] == [k]
+    with pytest.raises(ValueError):
+        next(branch_multisets(mi("a:0=1")))
 
 
 # -- shifts --------------------------------------------------------------------

@@ -96,6 +96,8 @@ def test_count_spiders_match_partitions(legs, unary):
 def test_count_long_chain_does_not_recurse():
     limit = sys.getrecursionlimit()
     assert ordinary_count(mi("a:-1=1,a:0=5000")) == 1
+    # The recursion runs bottom-up: a frame per level would overflow here.
+    assert ordinary_count_recursive(mi("a:-1=1,a:0=1500")) == 1
     assert sys.getrecursionlimit() == limit
 
 

@@ -12,9 +12,10 @@ from fibrecount.trees import (DecoratedTree, ParseError, enumerate_fibre,
 
 # Rooted trees on n unlabelled vertices with c possible vertex decorations.
 # Classical values, independent of this package.
+# OEIS A000081 and A038055, up to n = 8, the oracle's cap.
 KNOWN_COUNTS = {
-    ("a",): [1, 1, 2, 4, 9, 20, 48],
-    ("a", "b"): [2, 4, 14, 52, 214, 916, 4116],
+    ("a",): [1, 1, 2, 4, 9, 20, 48, 115],
+    ("a", "b"): [2, 4, 14, 52, 214, 916, 4116, 18996],
 }
 
 

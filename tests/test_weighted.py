@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,13 @@ def test_recursion_matches_closed_form_to_degree_9():
     assert len(profiles) == 2076
     for k in profiles:
         assert weighted_counts_recursive(k) == weighted_counts(k).W
+
+
+def test_recursion_runs_bottom_up_on_a_long_chain():
+    # 1,501 vertices: a frame per level would overflow.
+    limit = sys.getrecursionlimit()
+    assert weighted_counts_recursive(mi("a:-1=1,a:0=1500")) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_known_example():
