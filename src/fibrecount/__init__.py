@@ -18,8 +18,9 @@ from .weighted import (WeightedCounts, prescribed_fertility_count,
                        weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
-from .lowering import (apply_lowering, c_coefficient, c_coefficient_tables,
-                       coefficient_gf, d_coefficient, d_coefficient_recursive,
+from .lowering import (apply_lowering, c_coefficient, c_coefficient_level,
+                       c_coefficient_tables, coefficient_gf, d_coefficient,
+                       d_coefficient_level, d_coefficient_recursive,
                        d_coefficient_tables, lowering_power, transition_gf,
                        transport_arrays)
 from .coproduct import coproduct, coproduct_raw
@@ -34,9 +35,9 @@ __all__ = [
     "weighted_counts_recursive", "weighted_series",
     "h_series_cycle", "h_series_product", "ordinary_count",
     "ordinary_count_recursive", "ordinary_series",
-    "apply_lowering", "c_coefficient", "c_coefficient_tables",
-    "coefficient_gf", "d_coefficient", "d_coefficient_recursive",
-    "d_coefficient_tables", "lowering_power", "transition_gf",
+    "apply_lowering", "c_coefficient", "c_coefficient_level",
+    "c_coefficient_tables", "coefficient_gf", "d_coefficient",
+    "d_coefficient_level", "d_coefficient_recursive", "d_coefficient_tables", "lowering_power", "transition_gf",
     "transport_arrays",
     "coproduct", "coproduct_raw",
 ]

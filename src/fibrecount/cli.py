@@ -27,7 +27,7 @@ from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
-from .lowering import (apply_lowering, c_coefficient_tables,
+from .lowering import (apply_lowering, c_coefficient_level, c_coefficient_tables,
                        d_coefficient_tables, transition_gf)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
@@ -169,15 +169,14 @@ def cmd_series(args) -> int:
 
 def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
-    table = c_coefficient_tables(k, args.r)[args.r]
-    rows = sorted(table.items(), key=lambda kv: kv[0].sort_key())
+    rows = sorted(c_coefficient_level(k, args.r), key=lambda row: row[0].sort_key())
     if args.format == "json":
         print(json.dumps({"k": str(k), "r": args.r, "terms": [
-            {"l": str(low), "C": c, "target": str(apply_shift(k, low))}
-            for low, c in rows]}))
+            {"l": str(low), "C": c, "target": str(target)}
+            for low, target, c in rows]}))
     else:
-        for low, c in rows:
-            print(f"l = {low}, C = {c}, target = {apply_shift(k, low)}")
+        for low, target, c in rows:
+            print(f"l = {low}, C = {c}, target = {target}")
     return 0
 
 
@@ -374,10 +373,11 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     def lowering_case(k):
         bad = []
         tables = c_tables_fn(k, lower_r)
+        targets = [{low: apply_shift(k, low) for low in table} for table in tables]
         poly = {k: 1}
         for r in range(1, lower_r + 1):
             poly = apply_lowering(poly)
-            expanded = {apply_shift(k, low): c for low, c in tables[r].items()}
+            expanded = {targets[r][low]: c for low, c in tables[r].items()}
             if expanded != poly:
                 bad.append(f"quantity=lowering-C k={k} r={r} "
                            f"expected={_poly_str(poly)} got={_poly_str(expanded)}")
@@ -389,7 +389,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                     bad.append(f"quantity=lowering-D k={k} l={low} "
                                f"expected=0 got={d}")
             for low, c in tables[r].items():
-                target = apply_shift(k, low)
+                target = targets[r][low]
                 via_c = c * target.symmetry_factor()
                 via_d = d_tables[r].get(low, 0)
                 if via_c != via_d:

@@ -5,7 +5,13 @@ parts; each split contributes the prefactor k! / (forest symmetry * b!)
 times the r-th lowering iterate of x^b on the right leg.  The right leg can
 be expanded three ways that must agree term by term: iterating the lowering
 derivation directly, the C-coefficient expansion, or the D-coefficient
-expansion divided by the target factorial.
+expansion divided by the target factorial; the two refined forms read
+one level of the C or D table of b (`c_coefficient_level`,
+`d_coefficient_level`).  Splits that share a remainder b share its right
+leg, which `coproduct` expands once per call; b fixes the order,
+weight(b) + 1.  The splits are walked on codes in k's packed layout
+(`multiindex.packed_layout`), so testing and removing a part costs one
+subtraction and one mask test.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .multiindex import MultiIndex, apply_shift, iter_profile_parts
-from .lowering import (c_coefficient_tables, d_coefficient_tables,
-                       lowering_power)
+from .multiindex import MultiIndex, iter_profile_parts, packed_layout
+from .lowering import c_coefficient_level, d_coefficient_level, lowering_power
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
 
@@ -54,24 +59,40 @@ class RawTerm:
 
 def _forest_splits(k: MultiIndex) -> Iterator[tuple[Forest, MultiIndex]]:
     """All multisets of weight -1 parts fitting componentwise inside k,
-    with the leftover remainder; includes the empty forest."""
+    with the leftover remainder; includes the empty forest.
+
+    The walk runs on codes in k's packed layout (`packed_layout`), so a
+    part's inclusion in what is left, with the subtraction it guards, is
+    one subtraction and one mask test; one remainder is decoded per split.
+    """
     cands = iter_profile_parts(k)
+    offsets, guard = packed_layout(k)
+    fields = [(key, offsets[key], (1 << c.bit_length()) - 1) for key, c in k.items()]
+
+    def pack(m: MultiIndex) -> int:
+        return sum(c << offsets[key] for key, c in m.items())
+
+    codes = [pack(part) for part in cands]
     acc: list[tuple[MultiIndex, int]] = []
 
-    def rec(start: int, remaining: MultiIndex):
-        yield tuple(acc), remaining
+    def rec(start: int, left: int):
+        # left = guard + code of the remainder; every guard bit stays set
+        # exactly while each subtraction stays in the box.
+        rest = left - guard
+        yield tuple(acc), MultiIndex._raw(tuple(
+            (key, c) for key, offset, mask in fields if (c := (rest >> offset) & mask)))
         for i in range(start, len(cands)):
-            part = cands[i]
+            part, code = cands[i], codes[i]
             mult = 0
-            left = remaining
-            while left.includes(part):
-                left = left - part
+            left_i = left - code
+            while left_i & guard == guard:
                 mult += 1
                 acc.append((part, mult))
-                yield from rec(i + 1, left)
+                yield from rec(i + 1, left_i)
                 acc.pop()
+                left_i -= code
 
-    yield from rec(0, k)
+    yield from rec(0, guard + pack(k))
 
 
 def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
@@ -103,12 +124,9 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
     if form == "raw-dbar":
         return lowering_power(b, r)
     if form == "refined-C":
-        return {apply_shift(b, low): Fraction(c)
-                for low, c in c_coefficient_tables(b, r)[r].items()}
+        return {t: Fraction(c) for _, t, c in c_coefficient_level(b, r)}
     if form == "refined-D":
-        targets = ((apply_shift(b, low), d)
-                   for low, d in d_coefficient_tables(b, r)[r].items())
-        return {t: Fraction(d, t.symmetry_factor()) for t, d in targets}
+        return {t: Fraction(d, t.symmetry_factor()) for _, t, d in d_coefficient_level(b, r)}
     raise ValueError(f"unknown coproduct form {form!r}")
 
 
@@ -119,13 +137,18 @@ def coproduct(k: MultiIndex, form: str = "raw-dbar",
     """Full tensor expansion: (forest, right monomial) -> coefficient.
 
     The three forms expand the right leg by different routes and must
-    produce identical results.
+    produce identical results.  Each distinct remainder b is expanded once
+    per call; it fixes the order, weight(b) + 1.
     """
     if form not in FORMS:
         raise ValueError(f"unknown coproduct form {form!r}")
     out: dict[tuple[Forest, MultiIndex], Fraction] = {}
+    legs: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
     for term in coproduct_raw(k, decomposition, forest_sigma):
-        for mono, coeff in _right_leg(term.remainder, term.order, form).items():
+        leg = legs.get(term.remainder)
+        if leg is None:
+            leg = legs[term.remainder] = _right_leg(term.remainder, term.order, form)
+        for mono, coeff in leg.items():
             key = (term.forest, mono)
             out[key] = out.get(key, 0) + term.prefactor * coeff
     return {key: c for key, c in out.items() if c != 0}

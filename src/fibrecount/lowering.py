@@ -9,10 +9,14 @@ one-step recursion.  Each route keeps per-k level tables on plain tuples
 of counts over the extension keys of k (`_levels`, level r read from
 level r - 1), builds a `MultiIndex` only at the output, and keeps no memo
 across calls: `c_coefficient` and `d_coefficient_recursive` each read
-their own route's table for k.  The generating function in an auxiliary
-variable u factorizes over the entries of k, and its (k, b) coefficient is
-a sum over transport arrays; for reachable pairs it collapses to the
-single monomial u^|l| / |l|! * C[k,l].
+their own route's table for k.  `c_coefficient_level` and
+`d_coefficient_level` convert only the level asked for, into rows
+(l, target, value) whose target is read off the tuple of l with no
+`apply_shift`; `lower` and the refined coproduct legs read these rows.
+The generating function in an auxiliary variable u factorizes over the
+entries of k, and its (k, b) coefficient is a sum over transport arrays;
+for reachable pairs it collapses to the single monomial
+u^|l| / |l|! * C[k,l].
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -115,6 +119,25 @@ def _as_multiindices(k: MultiIndex, levels: list[dict]) -> list[dict[MultiIndex,
             for level in levels]
 
 
+def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """The rows (l, target, value) of one dense level of k, with the target
+    k - l + left_shift(l) read off the tuple: target_j^a = k_j^a - l_j^a +
+    l_{j+1}^a for j = -1..max_index(a), where l has no entry at j = -1."""
+    keys = _extension_keys(k)
+    index = {key: i for i, key in enumerate(keys)}
+    pad = len(keys)     # the index of a zero appended to each tuple
+    spec = [((a, j), k.get(a, j), index.get((a, j), pad), index.get((a, j + 1), pad))
+            for a in k.decorations() for j in range(-1, k.max_index(a) + 1)]
+    rows = []
+    for low, v in level.items():
+        ext = low + (0,)
+        lowering = MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c))
+        target = MultiIndex._raw(tuple((key, c) for key, kc, own, up in spec
+                                       if (c := kc - ext[own] + ext[up])))
+        rows.append((lowering, target, v))
+    return rows
+
+
 def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:
     # The level |l| of one route's table for k, read at l; 0 off the support.
     if not lowering.is_lowering():
@@ -138,6 +161,18 @@ def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex,
     recursion: D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
     D[k, l - e_j^a] * (k_{j-1}^a - l_{j-1}^a + l_j^a)."""
     return _as_multiindices(k, _d_levels(k, max_order))
+
+
+def c_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """The rows (l, target, C[k,l]) of the C table of k at order r, with
+    target = k - l + left_shift(l); only level r is converted."""
+    return _level_terms(k, _c_levels(k, r)[r])
+
+
+def d_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """The rows (l, target, D[k,l]) of the D route's table of k at order r,
+    with target = k - l + left_shift(l); only level r is converted."""
+    return _level_terms(k, _d_levels(k, r)[r])
 
 
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -108,6 +109,46 @@ def test_coproduct_forms_match_default(capsys, form):
     _, base, _ = run(capsys, "coproduct", "b:-1=2,b:1=1")
     _, other, _ = run(capsys, "coproduct", "b:-1=2,b:1=1", form)
     assert other == base
+
+
+# -- golden outputs ----------------------------------------------------------------
+
+GOLDEN_K = "a:-1=5,a:1=1,a:2=1,b:0=1,b:1=1"     # a degree-9 profile
+
+# SHA-256 of stdout, recorded before `lower` and the refined right legs read
+# their targets off the dense level tables.
+GOLDEN = [
+    (("lower", "a:3=2,a:1=1,b:2=1,a:-1=1,b:0=2", "4"),
+     "8a2e95cf52a7f29ea39e07de0041e5384294075d291a021a2fc871d7a365f707"),
+    (("lower", "a:3=2,a:1=1,b:2=1,a:-1=1,b:0=2", "4", "--format", "json"),
+     "828dc8a9f8d9201f0424905ed625612937bf566b362bf946ae6e73b7337721e4"),
+    (("lower", "a:4=1,a:2=2,a:0=1,b:3=1,b:1=2,b:-1=1", "12"),
+     "f661ddcce9cacd10e011a2db767522c664a94fcc898274e5eefe8498c5fef40e"),
+    (("lower", "a:4=1,a:2=2,a:0=1,b:3=1,b:1=2,b:-1=1", "12", "--format", "json"),
+     "7f3a3a9791f268855b515f75e840bf49f44bbe99292b361cc101bb5dfb433677"),
+] + [
+    (("coproduct", GOLDEN_K, form, "--decomposition", mode), digest)
+    for form in ("raw-dbar", "refined-C", "refined-D")
+    for mode, digest in (
+        ("multiset", "0c7a6956eb72d81fc98bf84ac10b2fc11c9f61f4da00022400196e5efecd53e1"),
+        ("ordered", "d60acafdb31b4e32cf94852341741ca057a969103573df0d562ac3d0ee1dcd0e"))
+] + [
+    (("coproduct", GOLDEN_K, form, "--decomposition", mode, "--format", "json"), digest)
+    for form, mode, digest in (
+        ("raw-dbar", "multiset", "07df5e1b9ccd9783d3a9e89ee523a941dc110a7de5d348b72028c0f1feb7abf0"),
+        ("raw-dbar", "ordered", "865eb512a46a223c2eab30e65675af5d7852733db3369fc26eb9964a820ab05b"),
+        ("refined-C", "multiset", "e04e55fb9ddfe3ae1ed25343dc9f612fb1b1665782b910a88efcaa237713a541"),
+        ("refined-C", "ordered", "84183905cd103a2f1a239f6ec51e4ca4767cc0a63f1417612a957c96b5fd9616"),
+        ("refined-D", "multiset", "c2033db75e6b06c12c3463fcc52e7f65216413ed8799a0e0e417f9979c20b559"),
+        ("refined-D", "ordered", "87c901a56ede669ca69079d99cf3bef3bb008569e721c463e1e2850151357d69"))
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=["_".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- oracle ------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, coproduct,
-                                  coproduct_raw, forest_symmetry)
+from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits,
+                                  coproduct, coproduct_raw, forest_symmetry)
 from fibrecount.lowering import _extension_keys
 from fibrecount.multiindex import (MultiIndex, enumerate_profiles,
-                                   multiindices_of_degree)
+                                   iter_profile_parts, multiindices_of_degree)
+
+# The package exports the function `coproduct` under the module's name.
+coproduct_module = importlib.import_module("fibrecount.coproduct")
 
 
 def mi(text):
@@ -113,3 +117,83 @@ def test_raw_terms_expose_orders():
             rebuilt = rebuilt + part.scale(mult)
         assert rebuilt == k
         assert term.prefactor > 0
+
+
+# -- forest splits and right legs ----------------------------------------------------
+
+def _plain_splits(k):
+    """The forest splits of k on multi-indices: inclusion by `includes`,
+    removal by `-`, in the order `_forest_splits` yields them."""
+    cands = iter_profile_parts(k)
+    acc = []
+
+    def rec(start, remaining):
+        yield tuple(acc), remaining
+        for i in range(start, len(cands)):
+            part, mult, left = cands[i], 0, remaining
+            while left.includes(part):
+                left = left - part
+                mult += 1
+                acc.append((part, mult))
+                yield from rec(i + 1, left)
+                acc.pop()
+
+    return list(rec(0, k))
+
+
+# Counts 1, 3, 4, 7, 8, 15 and 16 sit on the field-width boundaries of
+# `packed_layout` (a count c takes c.bit_length() + 1 bits).
+BOUNDARY_PROFILES = [mi(f"a:-1=1,a:0={c}") for c in (1, 3, 4, 7, 8, 15, 16)] + [
+    mi("a:-1=4,a:1=3"), mi("a:-1=8,a:1=7"), mi("a:-1=16,a:1=15"),
+    mi("a:-1=8,a:0=1,a:1=7"), mi("a:-1=4,a:0=16,a:1=3"),
+    mi("a:-1=3,a:1=3,b:-1=1,b:0=15"),
+]
+
+
+def test_packed_forest_splits_match_plain_enumeration():
+    profiles = (enumerate_profiles(("a", "b"), 7)
+                + enumerate_profiles(("a", "b", "c"), 5) + BOUNDARY_PROFILES)
+    for k in profiles:
+        assert list(_forest_splits(k)) == _plain_splits(k), k
+
+
+def test_narrower_packed_fields_break_the_splits(monkeypatch):
+    # The comparison above has the power to see a layout one bit too narrow.
+    def narrow_layout(k):
+        offsets, top, guard = {}, 0, 0
+        for key, c in k.items():
+            offsets[key] = top
+            top += c.bit_length()
+            guard |= 1 << (top - 1)
+        return offsets, guard
+
+    monkeypatch.setattr(coproduct_module, "packed_layout", narrow_layout)
+    assert all(list(_forest_splits(k)) != _plain_splits(k) for k in BOUNDARY_PROFILES)
+
+
+@pytest.mark.parametrize("mode", DECOMPOSITION_MODES)
+def test_one_right_leg_per_remainder(monkeypatch, mode):
+    calls = []
+    expand = coproduct_module._right_leg
+
+    def counted(b, r, form):
+        calls.append((b, r, form))
+        return expand(b, r, form)
+
+    monkeypatch.setattr(coproduct_module, "_right_leg", counted)
+    shared = 0
+    for k in (mi("a:-1=5,a:1=1,a:2=1,b:0=1,b:1=1"), mi("a:-1=4,a:0=2,a:3=1"),
+              mi("a:-1=1")):
+        terms = coproduct_raw(k, mode)
+        remainders = {term.remainder for term in terms}
+        shared += len(terms) - len(remainders)
+        for term in terms:
+            assert term.order == term.remainder.weight() + 1
+        for form in FORMS:
+            calls.clear()
+            coproduct(k, form, mode)
+            assert len(calls) == len(remainders)
+            assert {b for b, _, _ in calls} == remainders
+            assert all(r == b.weight() + 1 and f == form for b, r, f in calls)
+    assert MultiIndex() in remainders     # a:-1=1 splits off whole
+    assert shared > 0

@@ -7,8 +7,9 @@ from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, find_shift,
                                    multiindices_of_degree, unit)
 from fibrecount.lowering import (apply_lowering, c_coefficient,
-                                 c_coefficient_tables, coefficient_gf,
-                                 d_coefficient, d_coefficient_recursive,
+                                 c_coefficient_level, c_coefficient_tables,
+                                 coefficient_gf, d_coefficient,
+                                 d_coefficient_level, d_coefficient_recursive,
                                  d_coefficient_tables, lowering_power,
                                  transition_gf, transport_arrays)
 
@@ -170,6 +171,48 @@ def test_single_coefficients_read_their_own_table():
         d_coefficient_recursive(k, mi("a:-1=1"))
     with pytest.raises(ValueError):
         d_coefficient_tables(k, -1)
+
+
+def _shifted_rows(k, table):
+    return {(low, apply_shift(k, low), v) for low, v in table.items()}
+
+
+def test_level_rows_read_targets_off_the_tuple():
+    # The level functions read each target off the dense tuple; apply_shift
+    # computes it on multi-indices.  Each row comes once, and its l is canonical.
+    for k in enumerate_multiindices(("a", "b"), 5, 3):
+        c_tables, d_tables = c_coefficient_tables(k, 4), d_coefficient_tables(k, 4)
+        for r in range(5):
+            for level_fn, tables in ((c_coefficient_level, c_tables),
+                                     (d_coefficient_level, d_tables)):
+                rows = level_fn(k, r)
+                assert len(rows) == len(tables[r])
+                assert set(rows) == _shifted_rows(k, tables[r]), (k, r)
+                for low, target, _ in rows:
+                    assert low == MultiIndex(low.items())
+                    assert target == MultiIndex(target.items())
+
+
+def test_level_rows_edge_cases():
+    k = mi("a:1=1,a:0=2,b:-1=1")
+    # order 0: the one row (0, k, C = 1 or D = k!)
+    assert c_coefficient_level(k, 0) == [(MultiIndex(), k, 1)]
+    assert d_coefficient_level(k, 0) == [(MultiIndex(), k, 2)]
+    # a decoration with only j = -1 entries keeps them in every target
+    assert c_coefficient_level(mi("a:-1=2,b:1=1"), 1) == [
+        (mi("b:1=1"), mi("a:-1=2,b:0=1"), 1)]
+    assert d_coefficient_level(mi("a:-1=2,b:1=1"), 2) == [
+        (mi("b:0=1,b:1=1"), mi("a:-1=2,b:-1=1"), 2)]
+    assert c_coefficient_level(mi("a:-1=3"), 1) == []
+    # orders past the reachable ones have no rows
+    assert c_coefficient_level(mi("a:1=1"), 3) == []
+    assert d_coefficient_level(k, 7) == []
+    # the empty remainder: only order 0
+    assert c_coefficient_level(MultiIndex(), 0) == [(MultiIndex(), MultiIndex(), 1)]
+    assert d_coefficient_level(MultiIndex(), 0) == [(MultiIndex(), MultiIndex(), 1)]
+    assert c_coefficient_level(MultiIndex(), 2) == []
+    with pytest.raises(ValueError):
+        c_coefficient_level(k, -1)
 
 
 # -- generating function views -------------------------------------------------------
