@@ -10,6 +10,7 @@ always runs sequentially.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -43,10 +44,7 @@ class CapExceeded(Exception):
 
 
 def _frac_str(value) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def _frac_json(value) -> dict:
@@ -123,22 +121,34 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
 
 # -- subcommands --------------------------------------------------------------
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit (3.11+) for the block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def cmd_count(args) -> int:
     k = MultiIndex.parse(args.k)
     counts = weighted_counts(k)
     fibre_size = ordinary_count(k)
-    if args.format == "json":
-        print(json.dumps({"k": str(k), "F": fibre_size,
-                          "W": _frac_json(counts.W),
-                          "J": counts.J, "L": counts.L}))
-    else:
-        print(f"k = {k}")
-        print(f"degree = {k.degree()}")
-        print(f"weight = {k.weight()}")
-        print(f"F = {fibre_size}")
-        print(f"W = {_frac_str(counts.W)}")
-        print(f"J = {counts.J}")
-        print(f"L = {counts.L}")
+    # The whole report is rendered before any of it is written.
+    with _unlimited_digits():
+        if args.format == "json":
+            report = json.dumps({"k": str(k), "F": fibre_size,
+                                 "W": _frac_json(counts.W),
+                                 "J": counts.J, "L": counts.L})
+        else:
+            report = "\n".join((f"k = {k}", f"degree = {k.degree()}",
+                                 f"weight = {k.weight()}", f"F = {fibre_size}",
+                                 f"W = {_frac_str(counts.W)}", f"J = {counts.J}",
+                                 f"L = {counts.L}"))
+    print(report)
     return 0
 
 
@@ -148,16 +158,11 @@ def cmd_series(args) -> int:
         raise CapExceeded(
             f"degree {args.max_degree} exceeds cap {SERIES_DEGREE_CAP}"
             " (use --force to override)")
-    if args.mode == "weighted":
-        series = weighted_series(alphabet, args.max_degree)
-    else:
-        series = ordinary_series(alphabet, args.max_degree)
-    terms = series.sorted_terms()
+    solve = weighted_series if args.mode == "weighted" else ordinary_series
+    terms = solve(alphabet, args.max_degree).sorted_terms()
     if args.format == "json":
-        coeffs = []
-        for mono, c in terms:
-            value = _frac_json(c) if args.mode == "weighted" else int(Fraction(c))
-            coeffs.append({"k": str(mono), "value": value})
+        value = _frac_json if args.mode == "weighted" else int
+        coeffs = [{"k": str(mono), "value": value(c)} for mono, c in terms]
         print(json.dumps({"mode": args.mode, "alphabet": list(alphabet),
                           "max_degree": args.max_degree,
                           "coefficients": coeffs}))
@@ -328,25 +333,18 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                               f"expected={tree_totals[n]} got={got}")
     checks.append(("ordinary-totals", max_n, totals_bad))
 
-    # Series solutions against per-profile counts, including stray monomials.
+    # Series solutions against per-profile counts, including stray monomials;
+    # F against the recursion, as the box counts share the series' solver.
     ns = min(max_n, 6)
-    series_bad: list[str] = []
-    w_series = weighted_series(alph, ns)
-    f_series = ordinary_series(alph, ns)
     small = [k for k in profiles if k.degree() <= ns]
     small_set = set(small)
-    for k in small:
-        expected_w = w_formula(k)
-        got_w = w_series.coefficient(k)
-        if got_w != expected_w:
-            series_bad.append(f"quantity=series-weighted k={k} "
-                              f"expected={_frac_str(expected_w)} got={_frac_str(got_w)}")
-        expected_f = counts[k]
-        got_f = f_series.coefficient(k)
-        if got_f != expected_f:
-            series_bad.append(f"quantity=series-ordinary k={k} "
-                              f"expected={expected_f} got={_frac_str(got_f)}")
-    for series, label in ((w_series, "weighted"), (f_series, "ordinary")):
+    routes = (("weighted", weighted_series(alph, ns), w_formula),
+              ("ordinary", ordinary_series(alph, ns), counts_recursive.get))
+    series_bad = [f"quantity=series-{label} k={k} expected={_frac_str(want(k))} "
+                  f"got={_frac_str(series.coefficient(k))}"
+                  for k in small for label, series, want in routes
+                  if series.coefficient(k) != want(k)]
+    for label, series, _ in routes:
         for mono in series.monomials():
             if mono not in small_set:
                 series_bad.append(f"quantity=series-stray-{label} k={mono} "

@@ -203,15 +203,6 @@ def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
     return _lookup(k, lowering, _d_levels)
 
 
-def _upoly_mul(left: UPolynomial, right: UPolynomial) -> UPolynomial:
-    out: UPolynomial = {}
-    for d1, c1 in left.items():
-        for d2, c2 in right.items():
-            d = d1 + d2
-            out[d] = out.get(d, 0) + c1 * c2
-    return {d: c for d, c in out.items() if c != 0}
-
-
 def coefficient_gf(k: MultiIndex) -> dict[MultiIndex, UPolynomial]:
     """Exponential generating function of the lowering iterates of x^k,
     collected by target monomial: expands the factorized product
@@ -300,9 +291,7 @@ def _per_decoration_arrays(rows: list[tuple[int, int]],
 def transition_gf(k: MultiIndex, b: MultiIndex) -> UPolynomial:
     """The (k, b) coefficient of the lowering generating function as a sum
     over transport arrays; {} when no array exists."""
-    kfact = 1
-    for (_, j), c in k.items():
-        kfact *= math.factorial(c)
+    kfact = k.symmetry_factor()
     out: UPolynomial = {}
     for array in transport_arrays(k, b):
         degree = 0

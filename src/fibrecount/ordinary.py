@@ -2,12 +2,13 @@
 
 F counts the fibre of a profile exactly, by two independent routes.
 
-`ordinary_count`, the route `count` uses, solves the cycle-index equation
-T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
-{m <= k} and reads off the coefficient of x^k.  Every coefficient is
->= 0, so every factor of an in-box product lies in the box and the
-truncation is exact.  The solve runs one degree at a time on monomials
-packed into one int each (`multiindex.packed_layout`), and never recurses.
+`ordinary_count`, the route `count` uses, and `ordinary_series` are one
+solve (`series.solve_graded`) of the cycle-index equation
+T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) at two truncations:
+`ordinary_count` truncates it to the box {m <= k} and reads off the
+coefficient of x^k, `ordinary_series` truncates it at a total degree.
+Neither recurses.  `functional_rhs` evaluates the right-hand side on a
+TruncatedSeries, the check that the series solves its equation.
 
 `ordinary_count_recursive` chooses a fertile entry and distributes the
 remaining profile over an unordered multiset of branch profiles;
@@ -40,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .multiindex import (MultiIndex, branch_multisets, enumerate_profiles,
                          packed_layout)
-from .series import TruncatedSeries, attach_roots, solve_fixpoint
+from .series import TruncatedSeries, attach_roots, solve_graded, solve_series
 
 
 def mlt(r: int, m: int) -> int:
@@ -58,52 +59,9 @@ def ordinary_count(k: MultiIndex) -> int:
     degree."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
-    # Codes in k's packed layout: a code s lies in the box k // r exactly
-    # when (s + slack[r]) & guard == 0, where slack[r] fills each field up
-    # to its guard bit less the count of k // r.
-    offsets, guard = packed_layout(k)
-    fill = (1 << guard.bit_length()) - 1 - guard
-    top = max(1, max(j for (_, j), _ in k.items()) + 1)     # a leaf still needs p_1
-    slack = [0] + [fill - sum((c // r) << offsets[key] for key, c in k.items())
-                   for r in range(1, top + 1)]
-    roots = [(1 << offsets[(a, j)], j + 1) for (a, j), _ in k.items()]
-    fact = [math.factorial(m) for m in range(top + 1)]
-    n = k.degree()
-    # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
-    # y[m][d]: the degree-d part of m! Z_m(p_1, p_2, ...).
-    p = [None] + [[{} for _ in range(n + 1)] for _ in range(top)]
-    y = [[{0: 1}] + [{} for _ in range(n)]] + [[{} for _ in range(n + 1)]
-                                               for _ in range(top)]
-    for d in range(1, n + 1):
-        # The degree d - 1 of the ladder, by m! Z_m = sum_r
-        # (m-1)!/(m-r)! p_r (m-r)! Z_{m-r}; the r = m term reads Y_0 = 1,
-        # and (m-r)! Z_{m-r} has no term below degree m - r.
-        for m in range(1, top + 1):
-            out = y[m][d - 1]
-            for code, v in p[m][d - 1].items():
-                out[code] = fact[m - 1] * v
-            for r in range(1, m):
-                scale, lower = fact[m - 1] // fact[m - r], y[m - r]
-                for e in range(1, (d - 1 - (m - r)) // r + 1):
-                    left, right = p[r][r * e], lower[d - 1 - r * e]
-                    for s, v in left.items():
-                        for t, w in right.items():
-                            u = s + t
-                            if not (u + slack[1]) & guard:
-                                out[u] = out.get(u, 0) + scale * v * w
-        level = p[1][d]
-        for step, m in roots:
-            for code, v in y[m][d - 1].items():
-                u = code + step
-                if not (u + slack[1]) & guard:
-                    q, rem = divmod(v, fact[m])
-                    if rem:
-                        raise ArithmeticError(f"non-integral cycle index for {k}")
-                    level[u] = level.get(u, 0) + q
-        for r in range(2, min(top, n // d) + 1):
-            p[r][r * d] = {code * r: v for code, v in level.items()
-                           if not (code + slack[r]) & guard}
-    return p[1][n].get(sum(c << offsets[key] for key, c in k.items()), 0)
+    offsets, _ = packed_layout(k)
+    top = solve_graded(k, k.degree(), False)[-1]
+    return top.get(sum(c << offsets[key] for key, c in k.items()), 0)
 
 
 # F of every profile met so far.  A call fills it bottom-up over the parts
@@ -158,7 +116,7 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
 def ordinary_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
     """Unique zero-constant-term solution of the cycle-index fixpoint
     equation; its coefficients are the F values."""
-    return solve_fixpoint(functional_rhs, alphabet, max_degree)
+    return solve_series(alphabet, max_degree, False)
 
 
 # -- the z-graded product route for H_m --------------------------------------
@@ -167,9 +125,7 @@ def _zpoly_mul(left: list[TruncatedSeries], right: list[TruncatedSeries],
                max_z: int) -> list[TruncatedSeries]:
     bound = left[0].max_degree
     out = [TruncatedSeries.zero(bound) for _ in range(max_z + 1)]
-    for i, ci in enumerate(left):
-        if i > max_z:
-            break
+    for i, ci in enumerate(left[:max_z + 1]):
         if not ci:
             continue
         for jz in range(min(len(right) - 1, max_z - i) + 1):

@@ -16,22 +16,23 @@ decoded back to MultiIndex keys at the result.
 Both fixpoint equations read T = sum_{a,j} u_{a,j} X_{j+1} over a ladder
 X_0 = 1, X_1, ... built from T (T^m/m! for W, the cycle index Z_m for F).
 `attach_roots` is that shared root step: it shifts each term of X_{j+1}
-by the unit e_j^a, with no series product.
+by the unit e_j^a, with no series product.  With the packed product it
+evaluates the right-hand sides, the routes the solutions are checked by.
 
-`solve_fixpoint` fixes one degree at a time: the degree-d coefficients of
-the right-hand side depend only on the coefficients below degree d, so
-sweep d evaluates it once at bound d (van der Hoeven, "Relax, but don't be
-too lazy", JSC 2002).
+`solve_graded` solves both equations one degree at a time, on per-degree
+dicts of integer coefficients over monomials packed in one layout
+(`multiindex.packed_layout`): the degree-d coefficients of T need only
+those below d (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
+W solves the F equation with every p_r, r >= 2, set to zero, for L = d! W.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .multiindex import MultiIndex, unit
+from .multiindex import MultiIndex, _keys, packed_layout, unit
 
 Scalar = Union[int, Fraction]
 
@@ -115,12 +116,7 @@ class TruncatedSeries:
             self.max_degree, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_bound(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, 0) - c
-        return TruncatedSeries._trusted(
-            self.max_degree, {m: c for m, c in out.items() if c})
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -225,21 +221,80 @@ def attach_roots(ladder: Sequence, alphabet: Iterable[str],
     return TruncatedSeries._trusted(bound, {k: c for k, c in out.items() if c})
 
 
-def solve_fixpoint(rhs: Callable[[TruncatedSeries, tuple[str, ...]], TruncatedSeries],
-                   alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
-    """The unique zero-constant-term solution of T = rhs(T, alphabet),
-    truncated at max_degree."""
-    if max_degree < 1:
+def solve_graded(box: MultiIndex, degree: int, labelled: bool) -> list[dict[int, int]]:
+    """Degrees 0..degree of the solution T of the cycle-index equation
+    T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
+    {m <= box}, each as a dict code -> coefficient in `packed_layout(box)`.
+    Every coefficient is >= 0, so the truncation is exact.  With
+    `labelled`, every p_r, r >= 2, is zero: T is W, held as L = d! W."""
+    if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    return _solve_fixpoint(rhs, tuple(sorted(set(alphabet))), max_degree)
+    # A code s lies in the box box // r exactly when (s + slack[r]) & guard
+    # == 0, where slack[r] fills each field up to its guard bit less the
+    # count of box // r.
+    offsets, guard = packed_layout(box)
+    fill = (1 << guard.bit_length()) - 1 - guard
+    top = max(1, max(j for (_, j), _ in box.items()) + 1)     # a leaf still needs p_1
+    powers = 1 if labelled else top
+    slack = [0] + [fill - sum((c // r) << offsets[key] for key, c in box.items())
+                   for r in range(1, powers + 1)]
+    roots = [(1 << offsets[(a, j)], j + 1) for (a, j), _ in box.items()]
+    fact = [math.factorial(m) for m in range(top + 1)]
+    # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
+    # y[m][d]: the degree-d part of m! Z_m(p_1, p_2, ...), times d! if labelled.
+    p = [None] + [[{} for _ in range(degree + 1)] for _ in range(powers)]
+    y = [[{0: 1}] + [{} for _ in range(degree)]] + [[{} for _ in range(degree + 1)]
+                                                    for _ in range(top)]
+    for d in range(1, degree + 1):
+        # The degree d - 1 of the ladder, by m! Z_m = sum_r
+        # (m-1)!/(m-r)! p_r (m-r)! Z_{m-r}; the r = m term reads Y_0 = 1,
+        # and (m-r)! Z_{m-r} has no term below degree m - r.  Labelled
+        # factors of degrees e and d - 1 - e weigh C(d - 1, e), and a
+        # labelled root takes one of d labels.
+        for m in range(1, top + 1):
+            out = y[m][d - 1]
+            if m <= powers:
+                for code, v in p[m][d - 1].items():
+                    out[code] = fact[m - 1] * v
+            for r in range(1, min(m, powers + 1)):
+                scale, lower = fact[m - 1] // fact[m - r], y[m - r]
+                for e in range(1, (d - 1 - (m - r)) // r + 1):
+                    weight = scale * math.comb(d - 1, e) if labelled else scale
+                    left, right = p[r][r * e], lower[d - 1 - r * e]
+                    for s, v in left.items():
+                        for t, w in right.items():
+                            u = s + t
+                            if not (u + slack[1]) & guard:
+                                out[u] = out.get(u, 0) + weight * v * w
+        lift = d if labelled else 1
+        level = p[1][d]
+        for step, m in roots:
+            for code, v in y[m][d - 1].items():
+                u = code + step
+                if not (u + slack[1]) & guard:
+                    q, rem = divmod(lift * v, fact[m])
+                    if rem:
+                        raise ArithmeticError(f"non-integral coefficient in the box {box}")
+                    level[u] = level.get(u, 0) + q
+        for r in range(2, min(powers, degree // d) + 1):
+            p[r][r * d] = {code * r: v for code, v in level.items()
+                           if not (code + slack[r]) & guard}
+    return p[1]
 
 
-@cache
-def _solve_fixpoint(rhs, alph: tuple[str, ...], max_degree: int) -> TruncatedSeries:
-    # Every term of rhs carries a factor u_{a,j}, so the coefficients of
-    # rhs(T) at degree d need only those of T below d: sweep d, at bound
-    # d, fixes degree d for good.
-    out = TruncatedSeries.zero(0)
+def solve_series(alphabet: Iterable[str], max_degree: int,
+                 labelled: bool) -> TruncatedSeries:
+    """F, or W if labelled, to total degree n = max_degree: profiles of
+    degree <= n have j <= n - 2 and no count above n, so the box with n at
+    each such key cuts no term."""
+    box = MultiIndex(dict.fromkeys(_keys(alphabet, max_degree - 2), max_degree))
+    levels = solve_graded(box, max_degree, labelled)
+    offsets, _ = packed_layout(box)
+    fields = [(key, offsets[key], (1 << c.bit_length() + 1) - 1) for key, c in box.items()]
+    terms: dict[MultiIndex, Scalar] = {}
     for d in range(1, max_degree + 1):
-        out = rhs(TruncatedSeries(d, out._terms), alph)
-    return out
+        for code, v in levels[d].items():
+            mono = MultiIndex._raw(tuple((key, c) for key, offset, mask in fields
+                                         if (c := code >> offset & mask)))
+            terms[mono] = Fraction(v, math.factorial(d)) if labelled else v
+    return TruncatedSeries._trusted(max_degree, terms)

@@ -14,6 +14,11 @@ coefficient from T = sum u_{a,j} T^(j+1) / (j+1)! sums over ordered
 tuples; a multiset {p^(m_p)} has (j+1)! / prod m_p! orderings, so it
 contributes prod_p W(p)^(m_p) / m_p! (the exponential formula).  The
 recursion must reproduce the closed form exactly.
+
+`weighted_series` solves T = sum u_{a,j} T^(j+1) / (j+1)!, the F equation
+with p_1 alone (`series.solve_graded`), for L = d! W at degree d: a
+product weighs its degree split (e, d - e) by C(d, e), and a root, one of
+d labels, multiplies by d before the exact division by (j+1)!.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .multiindex import MultiIndex, branch_multisets
-from .series import TruncatedSeries, attach_roots, solve_fixpoint
+from .series import TruncatedSeries, attach_roots, solve_series
 
 
 @dataclass(frozen=True)
@@ -50,14 +55,10 @@ def prescribed_fertility_count(fertilities: Sequence[int]) -> int:
     return out
 
 
-def _require_profile(k: MultiIndex) -> None:
-    if k.weight() != -1:
-        raise ValueError("weight must be -1")
-
-
 def weighted_counts(k: MultiIndex) -> WeightedCounts:
     """Closed-form L, W, J for a weight -1 profile."""
-    _require_profile(k)
+    if k.weight() != -1:
+        raise ValueError("weight must be -1")
     n = k.degree()
     denom = 1
     for (_, j), c in k.items():
@@ -79,7 +80,8 @@ def weighted_counts_recursive(k: MultiIndex) -> Fraction:
     """W as the sum over fertile entries and branch multisets of
     prod W(part)^mult / mult!, evaluated bottom-up over the weight -1
     parts of k; memoized."""
-    _require_profile(k)
+    if k.weight() != -1:
+        raise ValueError("weight must be -1")
     if k not in _W_MEMO:
         for part, multisets in branch_multisets(k, _W_MEMO):
             total = Fraction(0)
@@ -104,4 +106,4 @@ def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> Truncate
 def weighted_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries:
     """Unique zero-constant-term solution of the weighted fixpoint equation,
     truncated at max_degree.  Its coefficients are the W values."""
-    return solve_fixpoint(functional_rhs, alphabet, max_degree)
+    return solve_series(alphabet, max_degree, True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
 from fibrecount.multiindex import MultiIndex
+from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
 
 
@@ -116,8 +118,21 @@ def test_coproduct_forms_match_default(capsys, form):
 GOLDEN_K = "a:-1=5,a:1=1,a:2=1,b:0=1,b:1=1"     # a degree-9 profile
 
 # SHA-256 of stdout, recorded before `lower` and the refined right legs read
-# their targets off the dense level tables.
+# their targets off the dense level tables, and before both series ran on
+# the graded solver.
 GOLDEN = [
+    (("series", "ordinary", "--max-degree", "10", "--alphabet", "a,b"),
+     "a85c88a863737ae703fce053e0bd108542c3eac60884d3ddcb6e9085c4928ce6"),
+    (("series", "ordinary", "--max-degree", "10", "--alphabet", "a,b", "--format", "json"),
+     "3140663d3458519cc049c0c0c6c58a4c4b420f4bb2bb89342980ca336fffc7f9"),
+    (("series", "weighted", "--max-degree", "10", "--alphabet", "a,b"),
+     "923de0155f1ca2fa682e3e8503bc43d7863928582f36e1904f1a54308cc92581"),
+    (("series", "weighted", "--max-degree", "10", "--alphabet", "a,b", "--format", "json"),
+     "b789d5deb33251700609e54fb2485fd74a01981c507ba6f2c9286c97d864100a"),
+    (("series", "ordinary", "--max-degree", "12", "--alphabet", "a,b"),
+     "1ac7c2a87423773f18041957ebf99ac0621a28b9275b239f986f65a20af2c57a"),
+    (("series", "weighted", "--max-degree", "7", "--alphabet", "a,b,c", "--format", "json"),
+     "42e91fb7692a57feb0edf2c3e358bd1b275f8fae0cb5f908115a777a56103a4b"),
     (("lower", "a:3=2,a:1=1,b:2=1,a:-1=1,b:0=2", "4"),
      "8a2e95cf52a7f29ea39e07de0041e5384294075d291a021a2fc871d7a365f707"),
     (("lower", "a:3=2,a:1=1,b:2=1,a:-1=1,b:0=2", "4", "--format", "json"),
@@ -199,6 +214,21 @@ def test_oracle_detects_each_wrong_count_route(capsys, monkeypatch, name, label)
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1
     assert f"mismatch: quantity={label} k={wrong} expected=1 got=2\n" in out
+
+
+@pytest.mark.parametrize("name, label, expected", [
+    ("ordinary_series", "series-ordinary", "expected=1 got=2"),
+    ("weighted_series", "series-weighted", "expected=1/2 got=3/2")])
+def test_oracle_detects_wrong_series(capsys, monkeypatch, name, label, expected):
+    # Either series with one coefficient off by one fails the oracle, under
+    # that series' own label.
+    route = getattr(cli, name)
+    wrong = MultiIndex.parse("a:-1=2,a:1=1")
+    monkeypatch.setattr(cli, name, lambda alphabet, max_degree: (
+        route(alphabet, max_degree) + TruncatedSeries(max_degree, {wrong: 1})))
+    code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
+    assert code == 1
+    assert f"mismatch: quantity={label} k={wrong} {expected}\n" in out
 
 
 @pytest.mark.parametrize("low, expected", [
@@ -321,3 +351,35 @@ def test_count_thousand_vertex_chain():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "F = 1\n" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_long_chain_prints_counts_in_full(fmt):
+    # J = 2000! and L = 2001! run past Python's default int-to-str digit
+    # limit; they are exact answers and print in full.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibrecount", "count", "a:-1=1,a:0=2000", "--format", fmt],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    with cli._unlimited_digits():
+        want = math.factorial(2001)
+        if fmt == "json":
+            assert json.loads(proc.stdout)["L"] == want
+        else:
+            assert proc.stdout.endswith(f"L = {want}\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str digit limit is in force")
+def test_count_parse_keeps_digit_limit(capsys):
+    # Input text keeps Python's digit limit: an oversized count is a
+    # domain error, and the limit is back in place after a count.
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "a:-1=1,a:0=" + "1" * 5000)
+    assert code == 3 and out == ""
+    assert "limit" in err
+    assert run(capsys, "count", "a:-1=1,a:0=2000")[0] == 0
+    assert sys.get_int_max_str_digits() == before

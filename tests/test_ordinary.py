@@ -103,12 +103,14 @@ def test_count_long_chain_does_not_recurse():
 
 # -- series -------------------------------------------------------------------------
 
+# ordinary_count shares the series' solver, so the series is held against
+# the recursion.
 @pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
 def test_series_matches_counts(alphabet):
     s = ordinary_series(alphabet, 5)
     profiles = enumerate_profiles(alphabet, 5)
     for k in profiles:
-        assert s.coefficient(k) == ordinary_count(k)
+        assert s.coefficient(k) == ordinary_count_recursive(k)
     assert set(s.monomials()) <= set(profiles)
 
 
@@ -117,7 +119,7 @@ def test_series_matches_counts_two_letters_degree_8():
     profiles = enumerate_profiles(("a", "b"), 8)
     assert len(profiles) == 1066
     for k in profiles:
-        assert s.coefficient(k) == ordinary_count(k)
+        assert s.coefficient(k) == ordinary_count_recursive(k)
     assert set(s.monomials()) == set(profiles)
 
 

@@ -122,10 +122,11 @@ def test_series_known_coefficients():
     assert s.coefficient(mi("a:1=1,a:-1=2")) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
-def test_series_matches_counts(alphabet):
-    s = weighted_series(alphabet, 5)
-    profiles = enumerate_profiles(alphabet, 5)
+@pytest.mark.parametrize("alphabet,max_degree", [(("a",), 5), (("a", "b"), 10),
+                                                  (("a", "b", "c"), 7)])
+def test_series_matches_counts(alphabet, max_degree):
+    s = weighted_series(alphabet, max_degree)
+    profiles = enumerate_profiles(alphabet, max_degree)
     for k in profiles:
         assert s.coefficient(k) == weighted_counts(k).W
     assert set(s.monomials()) == set(profiles)
