@@ -29,7 +29,7 @@ from .weighted import (prescribed_fertility_count, weighted_counts,
 from .ordinary import (h_series_cycle, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
 from .lowering import (apply_lowering, c_coefficient_level, c_coefficient_tables,
-                       d_coefficient_tables, transition_gf)
+                       coefficient_gf, d_coefficient_tables, transition_gf)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
 
@@ -203,20 +203,32 @@ def cmd_transition(args) -> int:
 def cmd_coproduct(args) -> int:
     k = MultiIndex.parse(args.k)
     expansion = coproduct(k, args.form, args.decomposition, args.forest_sigma)
-    items = sorted(expansion.items(),
-                   key=lambda kv: (tuple(p.sort_key() + (m,) for p, m in kv[0][0]),
-                                   kv[0][1].sort_key()))
+    # Terms sort by (forest, right monomial); a forest is shared by many
+    # terms, so each forest's key and text are built once.
+    groups: dict = {}
+    for (forest, mono), c in expansion.items():
+        groups.setdefault(forest, []).append((mono, c))
+    ordered = sorted(groups.items(),
+                     key=lambda kv: tuple(p.sort_key() + (m,) for p, m in kv[0]))
+    for _, terms in ordered:
+        terms.sort(key=lambda term: term[0].sort_key())
     if args.format == "json":
+        rows = []
+        for forest, terms in ordered:
+            parts = [{"k": str(p), "mult": m} for p, m in forest]
+            rows.extend({"forest": parts, "right": str(mono), **_frac_json(c)}
+                        for mono, c in terms)
         print(json.dumps({
             "k": str(k), "form": args.form,
             "decomposition": args.decomposition,
             "forest_sigma": args.forest_sigma,
-            "terms": [{"forest": [{"k": str(p), "mult": m} for p, m in forest],
-                       "right": str(mono), **_frac_json(c)}
-                      for (forest, mono), c in items]}))
+            "terms": rows}))
     else:
-        for (forest, mono), c in items:
-            print(f"{_forest_str(forest)} (x) {mono} : {_frac_str(c)}")
+        lines = []
+        for forest, terms in ordered:
+            left = _forest_str(forest)
+            lines.extend(f"{left} (x) {mono} : {_frac_str(c)}" for mono, c in terms)
+        print("\n".join(lines))
     return 0
 
 
@@ -364,13 +376,15 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     checks.append(("h-series-dual", min(max_n, 3) + 1, h_bad))
 
     # Lowering: C tables against iterated lowering, the D tables of the D
-    # route's own recursion (same support, D = C * target!) and transition GFs.
+    # route's own recursion (same support, D = C * target!) and the
+    # transport-array walk of k's generating function, stray targets included.
     lower_r = 3
     lower_ks = enumerate_multiindices(alph, min(max_n, 4), 3)
 
     def lowering_case(k):
         bad = []
         tables = c_tables_fn(k, lower_r)
+        gf = coefficient_gf(k, lower_r)
         targets = [{low: apply_shift(k, low) for low in table} for table in tables]
         poly = {k: 1}
         for r in range(1, lower_r + 1):
@@ -393,11 +407,16 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                 if via_c != via_d:
                     bad.append(f"quantity=lowering-D k={k} l={low} "
                                f"expected={via_c} got={via_d}")
-                upoly = transition_gf(k, target)
+                upoly = gf.get(target, {})
                 want = {r: Fraction(c, math.factorial(r))}
                 if upoly != want:
                     bad.append(f"quantity=lowering-transition k={k} b={target} "
                                f"expected={_upoly_str(want)} got={_upoly_str(upoly)}")
+        reached = {target for level in targets for target in level.values()}
+        for target, upoly in gf.items():
+            if target not in reached:
+                bad.append(f"quantity=lowering-transition k={k} b={target} "
+                           f"expected=0 got={_upoly_str(upoly)}")
         return bad
     checks.append(("lowering-threeway", len(lower_ks),
                    [m for k in lower_ks for m in lowering_case(k)]))

@@ -16,7 +16,8 @@ their own route's table for k.  `c_coefficient_level` and
 The generating function in an auxiliary variable u factorizes over the
 entries of k, and its (k, b) coefficient is a sum over transport arrays;
 for reachable pairs it collapses to the single monomial
-u^|l| / |l|! * C[k,l].
+u^|l| / |l|! * C[k,l].  `coefficient_gf` walks the transport arrays of k
+once for every target, and `transition_gf` enumerates those of one pair.
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 from .multiindex import MultiIndex, apply_shift, unit
 
@@ -203,27 +205,65 @@ def d_coefficient_recursive(k: MultiIndex, lowering: MultiIndex) -> int:
     return _lookup(k, lowering, _d_levels)
 
 
-def coefficient_gf(k: MultiIndex) -> dict[MultiIndex, UPolynomial]:
+def coefficient_gf(k: MultiIndex, max_order: Optional[int] = None
+                   ) -> dict[MultiIndex, UPolynomial]:
     """Exponential generating function of the lowering iterates of x^k,
-    collected by target monomial: expands the factorized product
+    collected by target monomial: the expansion of the factorized product
 
         prod over entries (a,j) of (sum_{m=0}^{j+1} u^m/m! x_{j-m}^a)^(k_j^a)
 
-    and returns target -> u-polynomial."""
-    state: dict[MultiIndex, UPolynomial] = {MultiIndex(): {0: Fraction(1)}}
-    for (a, j), count in k.items():
-        factor = [(unit(a, j - m), m, Fraction(1, math.factorial(m)))
-                  for m in range(j + 2)]
-        for _ in range(count):
-            nxt: dict[MultiIndex, UPolynomial] = {}
-            for mono, upoly in state.items():
-                for step, m, coeff in factor:
-                    key = mono + step
-                    bucket = nxt.setdefault(key, {})
-                    for d, c in upoly.items():
-                        bucket[d + m] = bucket.get(d + m, 0) + c * coeff
-            state = nxt
-    return {mono: up for mono, up in state.items() if any(c for c in up.values())}
+    as target -> u-polynomial, leaving out the targets of u-degree above
+    `max_order` when it is given.
+
+    The multinomial expansion of the product is a sum over the transport
+    arrays n[a, j, s] of k, -1 <= s <= j (see `transport_arrays`), so one
+    walk over the arrays of k yields every target b, b_s^a = sum_j n[a,j,s].
+    The u-degree of an array is its drop r = sum (j - s) * n[a,j,s] =
+    weight(k) - weight(b), one per target, and its weight is
+    k! / prod (n! * (j - s)!^n).  The walk goes row by row over the entries
+    of k and, within a row, cell by cell over s, on a dense tuple of
+    column counts, with a stack in place of recursion, and cuts a branch
+    once its drop passes `max_order`.  Each array adds the integer
+    r! * k! / prod (n! * (j - s)!^n) to its target, divided by r! once
+    per target.
+    """
+    if max_order is not None and max_order < 0:
+        raise ValueError("order must be >= 0")
+    keys = [(a, s) for a in k.decorations() for s in range(-1, k.max_index(a) + 1)]
+    column = {key: i for i, key in enumerate(keys)}
+    rows = [(column[key], key[1], c) for key, c in k.items()]
+    kfact = k.symmetry_factor()
+    limit = sum((j + 1) * c for (_, j), c in k.items()) if max_order is None else max_order
+    totals: dict[tuple, int] = {}
+    # A state: row i, column s, the units of row i left for columns s..j,
+    # the drop, the denominator so far and the column counts.
+    stack = [(0, -1, rows[0][2] if rows else 0, 0, 1, (0,) * len(keys))]
+    while stack:
+        i, s, left, drop, denom, cols = stack.pop()
+        if i == len(rows):
+            totals[cols] = totals.get(cols, 0) + math.factorial(drop) * kfact // denom
+            continue
+        top, j, _ = rows[i]
+        s = max(s, j - (limit - drop))     # a unit further left would pass the limit
+        if s == j or not left:     # the diagonal cell takes the rest, at no drop
+            cols = cols[:top] + (cols[top] + left,) + cols[top + 1:]
+            rest = rows[i + 1][2] if i + 1 < len(rows) else 0
+            stack.append((i + 1, -1, rest, drop, denom * math.factorial(left), cols))
+            continue
+        gap = j - s
+        c = top - gap
+        step = math.factorial(gap)
+        stack.append((i, s + 1, left, drop, denom, cols))
+        for n in range(1, min(left, (limit - drop) // gap) + 1):
+            stack.append((i, s + 1, left - n, drop + gap * n,
+                          denom * math.factorial(n) * step ** n,
+                          cols[:c] + (cols[c] + n,) + cols[c + 1:]))
+    out: dict[MultiIndex, UPolynomial] = {}
+    for code, total in totals.items():
+        target = MultiIndex._raw(tuple((key, c) for key, c in zip(keys, code) if c))
+        r = k.weight() - target.weight()
+        out[target] = {r: Fraction(total, math.factorial(r))}
+    return out
 
 
 def transport_arrays(k: MultiIndex, b: MultiIndex) -> list[dict]:

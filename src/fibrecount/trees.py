@@ -15,7 +15,6 @@ canonicalizes.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -29,7 +28,7 @@ _NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 class DecoratedTree:
     """A rooted tree whose vertices carry decoration strings."""
 
-    __slots__ = ("decoration", "children", "_key", "_hash", "_size")
+    __slots__ = ("decoration", "children", "_key", "_hash", "_size", "_aut")
 
     def __init__(self, decoration: str, children: Iterable["DecoratedTree"] = ()):
         kids = sorted(children, key=lambda t: t._key)
@@ -38,6 +37,13 @@ class DecoratedTree:
         self._key = (decoration, tuple(t._key for t in kids))
         self._hash = hash(self._key)
         self._size = 1 + sum(t._size for t in kids)
+        # The children's orders times (run length)! for each run of equal
+        # children: the i-th child of a run multiplies in i.
+        aut = run = 1
+        for i, t in enumerate(kids):
+            run = run + 1 if i and t._key == kids[i - 1]._key else 1
+            aut *= t._aut * run
+        self._aut = aut
 
     def vertex_count(self) -> int:
         return self._size
@@ -59,13 +65,9 @@ class DecoratedTree:
 
     def automorphism_order(self) -> int:
         """Order of the automorphism group: product over runs of equal
-        children of (run length)! times the children's own orders."""
-        order = 1
-        for child in self.children:
-            order *= child.automorphism_order()
-        for _, run in itertools.groupby(self.children):
-            order *= math.factorial(len(tuple(run)))
-        return order
+        children of (run length)! times the children's own orders,
+        computed when the tree is built."""
+        return self._aut
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DecoratedTree) and self._key == other._key
@@ -180,11 +182,33 @@ def fibres_of_degree(n: int, alphabet: Iterable[str]) -> Mapping[MultiIndex, tup
 
 @cache
 def _fibres(n: int, alph: tuple[str, ...]) -> Mapping[MultiIndex, tuple]:
-    groups: dict[MultiIndex, list] = {}
+    # Profiles as ints: a field of n.bit_length() bits, which holds any
+    # count up to n, for each key (a, j), j = -1..n-2, in canonical key
+    # order.  A tree's code is its root key's unit code plus its children's
+    # codes, so the trees below n, the only possible children, keep theirs,
+    # keyed by id: `_trees_exact`'s cache holds every tree alive.
+    keys = [(a, j) for a in alph for j in range(-1, n - 1)]
+    width = n.bit_length()
+    unit_code = {key: 1 << (width * i) for i, key in enumerate(keys)}
+    codes: dict[int, int] = {}
+
+    def code_of(t: DecoratedTree) -> int:
+        code = unit_code[(t.decoration, len(t.children) - 1)]
+        for child in t.children:
+            code += codes[id(child)]
+        return code
+
+    for size in range(1, n):
+        for t in _trees_exact(size, alph):
+            codes[id(t)] = code_of(t)
+    groups: dict[int, list] = {}
     for t in _trees_exact(n, alph):
-        groups.setdefault(t.profile(), []).append(t)
-    return MappingProxyType({k: tuple(v) for k, v in
-                             sorted(groups.items(), key=lambda kv: kv[0].sort_key())})
+        groups.setdefault(code_of(t), []).append(t)
+    mask = (1 << width) - 1
+    fibres = [(MultiIndex._raw(tuple((key, c) for i, key in enumerate(keys)
+                                     if (c := (code >> (width * i)) & mask))), tuple(v))
+              for code, v in groups.items()]
+    return MappingProxyType(dict(sorted(fibres, key=lambda kv: kv[0].sort_key())))
 
 
 def enumerate_fibre(k: MultiIndex) -> list[DecoratedTree]:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -249,6 +250,27 @@ def test_oracle_detects_wrong_d_table(capsys, monkeypatch, low, expected):
     assert code == 1
     assert (f"mismatch: quantity=lowering-D k={k} l={low} "
             f"expected={expected} got={expected + 1}\n") in out
+
+
+@pytest.mark.parametrize("target, upoly, expected", [
+    ("a:0=1", {1: Fraction(2)}, "expected=u got=2*u"),     # off by one
+    ("a:-1=2", {1: Fraction(1)}, "expected=0 got=u")],     # a stray target
+    ids=["off-by-one", "stray"])
+def test_oracle_detects_wrong_transition_walk(capsys, monkeypatch, target, upoly, expected):
+    # A transport-array walk of k wrong on one target fails the oracle as
+    # lowering-transition.
+    walk = cli.coefficient_gf
+    k, target = MultiIndex.parse("a:1=1"), MultiIndex.parse(target)
+
+    def wrong(kk, max_order=None):
+        out = walk(kk, max_order)
+        if kk == k:
+            out[target] = upoly
+        return out
+    monkeypatch.setattr(cli, "coefficient_gf", wrong)
+    code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
+    assert code == 1
+    assert f"mismatch: quantity=lowering-transition k={k} b={target} {expected}\n" in out
 
 
 def test_oracle_detects_corrupted_formula():

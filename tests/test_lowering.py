@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -226,13 +227,52 @@ def test_coefficient_gf_single_variable():
     }
 
 
+# Every k of degree <= 4 and index <= 3 on a,b, and of degree <= 3 on a,b,c.
+GF_GRID = enumerate_multiindices(("a", "b"), 4, 3) + enumerate_multiindices(("a", "b", "c"), 3, 3)
+
+
+def _balanced_targets(k):
+    # Every b with k's count per decoration and no index above k's largest
+    # for that decoration: the only candidates for a transport array.
+    per_decoration = [
+        multiindices_of_degree([(a, j) for j in range(-1, k.max_index(a) + 1)],
+                               sum(c for (d, _), c in k.items() if d == a))
+        for a in k.decorations()]
+    return [sum(combo, MultiIndex()) for combo in itertools.product(*per_decoration)]
+
+
 def test_coefficient_gf_matches_transitions():
-    for k in enumerate_multiindices(("a",), 3, 2):
-        gf = coefficient_gf(k)
-        for target, upoly in gf.items():
-            assert upoly == transition_gf(k, target)
+    # The one walk over k agrees with the per-pair route on every target,
+    # and has the same support.
+    for k in GF_GRID:
+        per_pair = {b: upoly for b in _balanced_targets(k)
+                    if (upoly := transition_gf(k, b))}
+        assert coefficient_gf(k) == per_pair
         # unreachable targets produce the empty polynomial
         assert transition_gf(k, k + unit("a", 0)) == {}
+
+
+def test_coefficient_gf_truncates_by_u_degree():
+    for k in GF_GRID:
+        full = coefficient_gf(k)
+        for r in range(5):
+            cut = {b: {d: c for d, c in upoly.items() if d <= r}
+                   for b, upoly in full.items()}
+            assert coefficient_gf(k, r) == {b: upoly for b, upoly in cut.items() if upoly}
+    assert coefficient_gf(MultiIndex()) == {MultiIndex(): {0: Fraction(1)}}
+    with pytest.raises(ValueError):
+        coefficient_gf(mi("a:1=1"), -1)
+
+
+def test_coefficient_gf_long_row():
+    # One unit at j = 1500 reaches every index below it; the walk keeps no
+    # frame per cell.
+    gf = coefficient_gf(mi("a:1500=1"))
+    assert len(gf) == 1502
+    assert gf[mi("a:-1=1")] == {1501: Fraction(1, math.factorial(1501))}
+    assert coefficient_gf(mi("a:1500=1"), 2) == {
+        mi("a:1500=1"): {0: Fraction(1)}, mi("a:1499=1"): {1: Fraction(1)},
+        mi("a:1498=1"): {2: Fraction(1, 2)}}
 
 
 def test_transition_example():

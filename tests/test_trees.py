@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -60,6 +61,23 @@ def test_fibres_partition_all_trees():
         assert sorted(pooled, key=str) == sorted(enumerate_trees(n, ("a", "b")), key=str)
         for profile, fibre in groups.items():
             assert all(t.profile() == profile for t in fibre)
+
+
+def _group_by_profile(n, alphabet):
+    # The reference grouping: each tree's profile from its own vertex walk.
+    groups = {}
+    for t in enumerate_trees(n, alphabet):
+        groups.setdefault(t.profile(), []).append(t)
+    return sorted(((k, tuple(v)) for k, v in groups.items()),
+                  key=lambda kv: kv[0].sort_key())
+
+
+@pytest.mark.parametrize("alphabet,max_n", [(("a",), 8), (("a", "b"), 7),
+                                            (("a", "b", "c"), 5)])
+def test_fibres_match_profile_grouping(alphabet, max_n):
+    # Same keys, key order and tree order as grouping by `profile()`.
+    for n in range(1, max_n + 1):
+        assert list(fibres_of_degree(n, alphabet).items()) == _group_by_profile(n, alphabet)
 
 
 def test_fibres_of_degree_is_read_only():
@@ -141,6 +159,30 @@ def test_automorphism_order_vs_plane_multiplicity(alphabet, max_n):
             expected = Fraction(_fertility_product(t), t.automorphism_order())
             assert expected.denominator == 1
             assert plane_count == expected
+
+
+def _automorphism_reference(t):
+    order = 1
+    for child in t.children:
+        order *= _automorphism_reference(child)
+    for _, run in itertools.groupby(t.children):
+        order *= math.factorial(len(list(run)))
+    return order
+
+
+def test_automorphism_order_matches_recursive_reference():
+    for n in range(1, 8):
+        for t in enumerate_trees(n, ("a", "b")):
+            assert t._aut == t.automorphism_order() == _automorphism_reference(t)
+
+
+def test_deep_chain_automorphism_order():
+    # A leaf under 3,000 unary vertices, built one constructor call at a time.
+    t = DecoratedTree("a")
+    for _ in range(3000):
+        t = DecoratedTree("a", [t])
+    assert t.automorphism_order() == 1
+    assert t.profile() == mi("a:-1=1,a:0=3000")
 
 
 def test_automorphism_examples():
