@@ -9,9 +9,9 @@ expansion divided by the target factorial; the two refined forms read
 one level of the C or D table of b (`c_coefficient_level`,
 `d_coefficient_level`).  Splits that share a remainder b share its right
 leg, which `coproduct` expands once per call; b fixes the order,
-weight(b) + 1.  The splits are walked on codes in k's packed layout
-(`multiindex.packed_layout`), so testing and removing a part costs one
-subtraction and one mask test.
+weight(b) + 1.  The splits are walked on codes in the one packed layout
+(`multiindex.PackedLayout`) of the box of k, so testing and removing a
+part costs one subtraction and one mask test.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .multiindex import MultiIndex, iter_profile_parts, packed_layout
+from .multiindex import MultiIndex, PackedLayout, iter_profile_parts
 from .lowering import c_coefficient_level, d_coefficient_level, lowering_power
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
@@ -61,26 +61,20 @@ def _forest_splits(k: MultiIndex) -> Iterator[tuple[Forest, MultiIndex]]:
     """All multisets of weight -1 parts fitting componentwise inside k,
     with the leftover remainder; includes the empty forest.
 
-    The walk runs on codes in k's packed layout (`packed_layout`), so a
+    The walk runs on codes in k's packed layout (`PackedLayout`), so a
     part's inclusion in what is left, with the subtraction it guards, is
     one subtraction and one mask test; one remainder is decoded per split.
     """
     cands = iter_profile_parts(k)
-    offsets, guard = packed_layout(k)
-    fields = [(key, offsets[key], (1 << c.bit_length()) - 1) for key, c in k.items()]
-
-    def pack(m: MultiIndex) -> int:
-        return sum(c << offsets[key] for key, c in m.items())
-
-    codes = [pack(part) for part in cands]
+    layout = PackedLayout(k)
+    guard = layout.guard
+    codes = [layout.code(part) for part in cands]
     acc: list[tuple[MultiIndex, int]] = []
 
     def rec(start: int, left: int):
         # left = guard + code of the remainder; every guard bit stays set
         # exactly while each subtraction stays in the box.
-        rest = left - guard
-        yield tuple(acc), MultiIndex._raw(tuple(
-            (key, c) for key, offset, mask in fields if (c := (rest >> offset) & mask)))
+        yield tuple(acc), layout.decode(left - guard)
         for i in range(start, len(cands)):
             part, code = cands[i], codes[i]
             mult = 0
@@ -92,7 +86,7 @@ def _forest_splits(k: MultiIndex) -> Iterator[tuple[Forest, MultiIndex]]:
                 acc.pop()
                 left_i -= code
 
-    yield from rec(0, guard + pack(k))
+    yield from rec(0, guard + layout.code(k))
 
 
 def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .multiindex import MultiIndex, apply_shift, unit
+from .multiindex import MultiIndex, PackedLayout, apply_shift, unit
 
 Polynomial = dict  # MultiIndex -> int | Fraction
 UPolynomial = dict  # int degree -> Fraction
@@ -221,46 +221,48 @@ def coefficient_gf(k: MultiIndex, max_order: Optional[int] = None
     The u-degree of an array is its drop r = sum (j - s) * n[a,j,s] =
     weight(k) - weight(b), one per target, and its weight is
     k! / prod (n! * (j - s)!^n).  The walk goes row by row over the entries
-    of k and, within a row, cell by cell over s, on a dense tuple of
-    column counts, with a stack in place of recursion, and cuts a branch
-    once its drop passes `max_order`.  Each array adds the integer
-    r! * k! / prod (n! * (j - s)!^n) to its target, divided by r! once
-    per target.
+    of k and, within a row, cell by cell over s, on the column counts
+    packed in one int (`multiindex.PackedLayout`), with a stack in place
+    of recursion, and cuts a branch once its drop passes `max_order`.
+    Each array adds the integer r! * k! / prod (n! * (j - s)!^n) to its
+    target, divided by r! once per target.
     """
     if max_order is not None and max_order < 0:
         raise ValueError("order must be >= 0")
-    keys = [(a, s) for a in k.decorations() for s in range(-1, k.max_index(a) + 1)]
-    column = {key: i for i, key in enumerate(keys)}
-    rows = [(column[key], key[1], c) for key, c in k.items()]
+    # The column counts are a code in the layout of the column box, where no
+    # count passes |k|; row (a, j) has a cell, a unit code, per column s <= j.
+    columns = [(a, s) for a in k.decorations() for s in range(-1, k.max_index(a) + 1)]
+    layout = PackedLayout(MultiIndex._raw(tuple((key, k.degree()) for key in columns)))
+    rows = [([1 << layout.offsets[(a, s)] for s in range(-1, j + 1)], j, c)
+            for (a, j), c in k.items()]
     kfact = k.symmetry_factor()
     limit = sum((j + 1) * c for (_, j), c in k.items()) if max_order is None else max_order
-    totals: dict[tuple, int] = {}
+    totals: dict[int, int] = {}
     # A state: row i, column s, the units of row i left for columns s..j,
     # the drop, the denominator so far and the column counts.
-    stack = [(0, -1, rows[0][2] if rows else 0, 0, 1, (0,) * len(keys))]
+    stack = [(0, -1, rows[0][2] if rows else 0, 0, 1, 0)]
     while stack:
         i, s, left, drop, denom, cols = stack.pop()
         if i == len(rows):
             totals[cols] = totals.get(cols, 0) + math.factorial(drop) * kfact // denom
             continue
-        top, j, _ = rows[i]
+        cells, j, _ = rows[i]
         s = max(s, j - (limit - drop))     # a unit further left would pass the limit
         if s == j or not left:     # the diagonal cell takes the rest, at no drop
-            cols = cols[:top] + (cols[top] + left,) + cols[top + 1:]
             rest = rows[i + 1][2] if i + 1 < len(rows) else 0
-            stack.append((i + 1, -1, rest, drop, denom * math.factorial(left), cols))
+            stack.append((i + 1, -1, rest, drop, denom * math.factorial(left),
+                          cols + left * cells[-1]))
             continue
         gap = j - s
-        c = top - gap
+        cell = cells[s + 1]
         step = math.factorial(gap)
         stack.append((i, s + 1, left, drop, denom, cols))
         for n in range(1, min(left, (limit - drop) // gap) + 1):
             stack.append((i, s + 1, left - n, drop + gap * n,
-                          denom * math.factorial(n) * step ** n,
-                          cols[:c] + (cols[c] + n,) + cols[c + 1:]))
+                          denom * math.factorial(n) * step ** n, cols + n * cell))
     out: dict[MultiIndex, UPolynomial] = {}
     for code, total in totals.items():
-        target = MultiIndex._raw(tuple((key, c) for key, c in zip(keys, code) if c))
+        target = layout.decode(code)
         r = k.weight() - target.weight()
         out[target] = {r: Fraction(total, math.factorial(r))}
     return out
@@ -293,38 +295,31 @@ def transport_arrays(k: MultiIndex, b: MultiIndex) -> list[dict]:
 
 def _per_decoration_arrays(rows: list[tuple[int, int]],
                            cols: list[tuple[int, int]]) -> list[dict]:
-    col_order = [s for s, _ in cols]
-    col_rem = {s: c for s, c in cols}
+    # Row by row, and within a row column by column over s <= j, each cell
+    # takes 0, 1, ... units in turn, on a stack in place of recursion, so
+    # that the arrays come in lexicographic cell order at any number of
+    # cells.  A state: row ri, its ci-th allowed column, the units of row ri
+    # left, the column sums left and the cells filled so far.
+    allowed = [[i for i, (s, _) in enumerate(cols) if s <= j] for j, _ in rows]
     sols: list[dict] = []
-    acc: dict = {}
-
-    def fill_row(ri: int) -> None:
+    stack = [(0, 0, rows[0][1] if rows else 0, tuple(c for _, c in cols), ())]
+    while stack:
+        ri, ci, remaining, rem, acc = stack.pop()
         if ri == len(rows):
-            if all(v == 0 for v in col_rem.values()):
+            if not any(rem):
                 sols.append(dict(acc))
-            return
-        j, count = rows[ri]
-        allowed = [s for s in col_order if s <= j]
-
-        def distribute(ci: int, remaining: int) -> None:
-            if ci == len(allowed):
-                if remaining == 0:
-                    fill_row(ri + 1)
-                return
-            s = allowed[ci]
-            top = min(remaining, col_rem[s])
-            for c in range(top + 1):
-                if c:
-                    col_rem[s] -= c
-                    acc[(j, s)] = c
-                distribute(ci + 1, remaining - c)
-                if c:
-                    col_rem[s] += c
-                    del acc[(j, s)]
-
-        distribute(0, count)
-
-    fill_row(0)
+            continue
+        if ci == len(allowed[ri]):
+            if remaining == 0:
+                rest = rows[ri + 1][1] if ri + 1 < len(rows) else 0
+                stack.append((ri + 1, 0, rest, rem, acc))
+            continue
+        col = allowed[ri][ci]
+        cell = (rows[ri][0], cols[col][0])
+        for c in range(min(remaining, rem[col]), 0, -1):
+            left = rem[:col] + (rem[col] - c,) + rem[col + 1:]
+            stack.append((ri, ci + 1, remaining - c, left, acc + ((cell, c),)))
+        stack.append((ri, ci + 1, remaining, rem, acc))
     return sols
 
 

@@ -24,9 +24,9 @@ largest j down and, given a target weight, cuts each branch whose missing
 weight the remaining keys can no longer reach, so profiles are generated
 rather than filtered from the box.  `branch_multisets` walks the branch
 multisets that the F and W recursions share, for every part of a profile
-in (degree, entries) order, so both recursions run bottom-up.  It packs
-the parts into ints in the profile's layout (`packed_layout`), which
-`ordinary.ordinary_count` also uses.
+in (degree, entries) order, so both recursions run bottom-up.
+`PackedLayout` is the one packed-int layout of a box {m <= box}; every
+packed path of the package encodes and decodes through it.
 """
 
 from __future__ import annotations
@@ -342,25 +342,53 @@ def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
     return sorted(multiindices_of_degree(keys, None, -1, k), key=MultiIndex.sort_key)
 
 
-def packed_layout(k: MultiIndex) -> tuple[dict[tuple[str, int], int], int]:
-    """The packed-int layout of the multi-indices m <= k: the bit offset of
-    each entry of k, and the mask of the guard bits.
+class PackedLayout:
+    """The packed-int layout of the multi-indices m <= box: packed
+    exponent vectors (Monagan and Pearce, CASC 2007).
 
-    Each entry of k gets one field, one bit wider than its count, and the
-    top bit of the field is its guard bit.  The code of m is
-    sum m_key << offset[key].  The sum of two codes in the box fits in
+    Each entry of the box gets one field, one bit wider than its count, at
+    bit `offsets[key]`; the top bit of the field is its guard bit, and
+    `guard` is the mask of them all.  The code of m is
+    sum m_key << offsets[key].  The sum of two codes in the box fits in
     every field, guard bit included, so codes add without a carry across
     fields.  For r and m in the box, m <= r exactly when
     ((code(r) | guard) - code(m)) has every guard bit set, and that
     difference less the guard is code(r - m).
     """
-    offsets: dict[tuple[str, int], int] = {}
-    top = guard = 0
-    for key, c in k.items():
-        offsets[key] = top
-        top += c.bit_length() + 1
-        guard |= 1 << (top - 1)
-    return offsets, guard
+
+    __slots__ = ("box", "offsets", "guard", "_fields")
+
+    def __init__(self, box: MultiIndex):
+        self.box, self.offsets, self._fields = box, {}, []
+        top = self.guard = 0
+        for key, c in box.items():
+            width = self.field_width(c)
+            self.offsets[key] = top
+            self._fields.append((key, top, (1 << width) - 1))
+            top += width
+            self.guard |= 1 << (top - 1)
+
+    @staticmethod
+    def field_width(count: int) -> int:
+        return count.bit_length() + 1     # the count, then its guard bit
+
+    def code(self, m: MultiIndex) -> int:
+        """The code of m <= box."""
+        offsets, code = self.offsets, 0
+        for key, c in m.items():
+            code += c << offsets[key]
+        return code
+
+    def decode(self, code: int) -> MultiIndex:
+        """The multi-index of an in-box code whose guard bits are clear."""
+        return MultiIndex._raw(tuple((key, c) for key, offset, mask in self._fields
+                                     if (c := code >> offset & mask)))
+
+    def slack(self, r: int) -> int:
+        """The code that fills each field up to its guard bit less the count
+        of box // r: the code s is in that box iff (s + slack(r)) & guard == 0."""
+        fill = (1 << self.guard.bit_length()) - 1 - self.guard
+        return fill - sum((c // r) << self.offsets[key] for key, c in self.box.items())
 
 
 def branch_multisets(k: MultiIndex, skip: Container = ()
@@ -374,7 +402,7 @@ def branch_multisets(k: MultiIndex, skip: Container = ()
     comes before p, and k comes last.
 
     The parts of k are walked once (`iter_profile_parts`) and packed once in
-    k's layout (`packed_layout`), where an inclusion test with the
+    k's layout (`PackedLayout`), where an inclusion test with the
     subtraction it guards is one subtraction and one mask test.  `skip` is
     read as each part comes up, so a caller that fills a memo from the
     yielded parts can pass that memo.
@@ -383,10 +411,11 @@ def branch_multisets(k: MultiIndex, skip: Container = ()
         raise ValueError("weight must be -1")
     parts = iter_profile_parts(k)
     parts[-1] = k     # equal, and a memo keyed by the parts holds no copy of k
-    offsets, guard = packed_layout(k)
+    layout = PackedLayout(k)
+    offsets, guard = layout.offsets, layout.guard
     # Codes carry their guard bits, so a subtraction that stays in the box
     # leaves every guard bit set.
-    codes = [guard + sum(c << offsets[key] for key, c in part.items()) for part in parts]
+    codes = [guard + layout.code(part) for part in parts]
     degrees = [part.degree() for part in parts]
     index = {code: i for i, code in enumerate(codes)}
 

@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .multiindex import (MultiIndex, branch_multisets, enumerate_profiles,
-                         packed_layout)
+from .multiindex import (MultiIndex, PackedLayout, branch_multisets,
+                         enumerate_profiles)
 from .series import TruncatedSeries, attach_roots, solve_graded, solve_series
 
 
@@ -59,9 +59,8 @@ def ordinary_count(k: MultiIndex) -> int:
     degree."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
-    offsets, _ = packed_layout(k)
     top = solve_graded(k, k.degree(), False)[-1]
-    return top.get(sum(c << offsets[key] for key, c in k.items()), 0)
+    return top.get(PackedLayout(k).code(k), 0)
 
 
 # F of every profile met so far.  A call fills it bottom-up over the parts

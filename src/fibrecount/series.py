@@ -4,14 +4,14 @@ Monomials are MultiIndex values (exponent of u_{a,j} = count at (a, j)),
 coefficients are Fractions or ints, and every operation truncates eagerly
 at the series' fixed total-degree bound.
 
-Multiplication packs monomials into ints for the length of one product
-(packed exponent vectors, Monagan and Pearce, CASC 2007): every key
-(a, j) occurring in either operand gets a bit field of width
-``bound.bit_length()``, so multiplying two monomials is one int addition.
-No count in a formed product exceeds the bound, so no field overflows.
-Coefficients are scaled to integers over each operand's common
-denominator and divided once per result term; the surviving codes are
-decoded back to MultiIndex keys at the result.
+Multiplication packs monomials into ints for the length of one product,
+in the one packed layout (`multiindex.PackedLayout`) of the box with the
+bound at every key (a, j) of either operand, so multiplying two monomials
+is one int addition.  No count in a formed product exceeds the bound, so
+every product code stays in the box.  Coefficients are scaled to
+integers over each operand's common denominator and divided once per
+result term; the surviving codes are decoded back to MultiIndex keys at
+the result.
 
 Both fixpoint equations read T = sum_{a,j} u_{a,j} X_{j+1} over a ladder
 X_0 = 1, X_1, ... built from T (T^m/m! for W, the cycle index Z_m for F).
@@ -21,7 +21,7 @@ evaluates the right-hand sides, the routes the solutions are checked by.
 
 `solve_graded` solves both equations one degree at a time, on per-degree
 dicts of integer coefficients over monomials packed in one layout
-(`multiindex.packed_layout`): the degree-d coefficients of T need only
+(`multiindex.PackedLayout`): the degree-d coefficients of T need only
 those below d (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
 W solves the F equation with every p_r, r >= 2, set to zero, for L = d! W.
 """
@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .multiindex import MultiIndex, _keys, packed_layout, unit
+from .multiindex import MultiIndex, PackedLayout, _keys, unit
 
 Scalar = Union[int, Fraction]
 
@@ -153,26 +153,22 @@ class TruncatedSeries:
         return TruncatedSeries(bound, out)
 
 
-def _pack(terms: dict, shift: dict, bound: int) -> tuple[int, list[list[tuple[int, int]]]]:
+def _pack(terms: dict, layout, bound: int) -> tuple[int, list[list[tuple[int, int]]]]:
     """The common denominator of `terms`, and per degree the (code, numerator)
     pairs of its monomials over that denominator."""
     den = math.lcm(*{c.denominator for c in terms.values()})
     by_degree: list[list[tuple[int, int]]] = [[] for _ in range(bound + 1)]
     for mono, c in terms.items():
-        code = 0
-        for key, count in mono.items():
-            code += count << shift[key]
-        by_degree[mono.degree()].append((code, c.numerator * (den // c.denominator)))
+        by_degree[mono.degree()].append((layout.code(mono),
+                                         c.numerator * (den // c.denominator)))
     return den, by_degree
 
 
 def _packed_product(left: dict, right: dict, bound: int) -> TruncatedSeries:
-    keys = sorted({key for terms in (left, right)
-                   for mono in terms for key, _ in mono.items()})
-    width = bound.bit_length()
-    shift = {key: i * width for i, key in enumerate(keys)}
-    lden, lgroups = _pack(left, shift, bound)
-    rden, rgroups = _pack(right, shift, bound)
+    keys = sorted({key for terms in (left, right) for mono in terms for key, _ in mono.items()})
+    layout = PackedLayout(MultiIndex._raw(tuple((key, bound) for key in keys)))
+    lden, lgroups = _pack(left, layout, bound)
+    rden, rgroups = _pack(right, layout, bound)
     # upto[r]: the right terms of degree <= r.
     upto: list[list[tuple[int, int]]] = []
     for group in rgroups:
@@ -186,21 +182,8 @@ def _packed_product(left: dict, right: dict, bound: int) -> TruncatedSeries:
                 code = code1 + code2
                 acc[code] = get(code, 0) + n1 * n2
     den = lden * rden
-    mask = (1 << width) - 1
-    out: dict[MultiIndex, Scalar] = {}
-    for code, num in acc.items():
-        if not num:
-            continue
-        entries = []
-        for key in keys:
-            count = code & mask
-            if count:
-                entries.append((key, count))
-            code >>= width
-            if not code:
-                break
-        out[MultiIndex._raw(tuple(entries))] = Fraction(num, den)
-    return TruncatedSeries._trusted(bound, out)
+    return TruncatedSeries._trusted(bound, {layout.decode(code): Fraction(num, den)
+                                            for code, num in acc.items() if num})
 
 
 def attach_roots(ladder: Sequence, alphabet: Iterable[str],
@@ -224,20 +207,16 @@ def attach_roots(ladder: Sequence, alphabet: Iterable[str],
 def solve_graded(box: MultiIndex, degree: int, labelled: bool) -> list[dict[int, int]]:
     """Degrees 0..degree of the solution T of the cycle-index equation
     T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
-    {m <= box}, each as a dict code -> coefficient in `packed_layout(box)`.
+    {m <= box}, each as a dict code -> coefficient in `PackedLayout(box)`.
     Every coefficient is >= 0, so the truncation is exact.  With
     `labelled`, every p_r, r >= 2, is zero: T is W, held as L = d! W."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    # A code s lies in the box box // r exactly when (s + slack[r]) & guard
-    # == 0, where slack[r] fills each field up to its guard bit less the
-    # count of box // r.
-    offsets, guard = packed_layout(box)
-    fill = (1 << guard.bit_length()) - 1 - guard
+    layout = PackedLayout(box)
+    offsets, guard = layout.offsets, layout.guard
     top = max(1, max(j for (_, j), _ in box.items()) + 1)     # a leaf still needs p_1
     powers = 1 if labelled else top
-    slack = [0] + [fill - sum((c // r) << offsets[key] for key, c in box.items())
-                   for r in range(1, powers + 1)]
+    slack = [0] + [layout.slack(r) for r in range(1, powers + 1)]
     roots = [(1 << offsets[(a, j)], j + 1) for (a, j), _ in box.items()]
     fact = [math.factorial(m) for m in range(top + 1)]
     # p[r][d]: the degree-d part of p_r = T(u^r); p[1] is T itself.
@@ -289,12 +268,9 @@ def solve_series(alphabet: Iterable[str], max_degree: int,
     each such key cuts no term."""
     box = MultiIndex(dict.fromkeys(_keys(alphabet, max_degree - 2), max_degree))
     levels = solve_graded(box, max_degree, labelled)
-    offsets, _ = packed_layout(box)
-    fields = [(key, offsets[key], (1 << c.bit_length() + 1) - 1) for key, c in box.items()]
+    decode = PackedLayout(box).decode
     terms: dict[MultiIndex, Scalar] = {}
     for d in range(1, max_degree + 1):
         for code, v in levels[d].items():
-            mono = MultiIndex._raw(tuple((key, c) for key, offset, mask in fields
-                                         if (c := code >> offset & mask)))
-            terms[mono] = Fraction(v, math.factorial(d)) if labelled else v
+            terms[decode(code)] = Fraction(v, math.factorial(d)) if labelled else v
     return TruncatedSeries._trusted(max_degree, terms)

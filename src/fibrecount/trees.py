@@ -20,7 +20,8 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .multiindex import MultiIndex, ParseError, is_valid_decoration
+from .multiindex import (MultiIndex, PackedLayout, ParseError, _keys,
+                         is_valid_decoration)
 
 _NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 
@@ -79,9 +80,22 @@ class DecoratedTree:
         return self._hash
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.decoration
-        return f"{self.decoration}({','.join(str(c) for c in self.children)})"
+        # Written from a stack of trees and text still to come, so that no
+        # depth of tree can exhaust the recursion limit.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif t.children:
+                out.append(t.decoration + "(")
+                stack.append(")")
+                for i, child in enumerate(reversed(t.children)):
+                    stack.extend((",", child) if i else (child,))
+            else:
+                out.append(t.decoration)
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"DecoratedTree({str(self)!r})"
@@ -101,22 +115,29 @@ def parse_tree(text: str) -> DecoratedTree:
             raise ParseError(f"bad decoration at position {start} in {text!r}")
         return name
 
-    def take_tree() -> DecoratedTree:
-        nonlocal pos
+    # The vertices whose ")" is still to come, outermost first, each with
+    # the children read so far: a loop in place of recursion, so that no
+    # depth of tree can exhaust the recursion limit.
+    stack: list[tuple[str, list[DecoratedTree]]] = []
+    while True:
         name = take_name()
         if pos < len(text) and text[pos] == "(":
             pos += 1
-            kids = [take_tree()]
-            while pos < len(text) and text[pos] == ",":
+            stack.append((name, []))
+            continue
+        tree = DecoratedTree(name)
+        while stack:     # hand the finished tree to its parent
+            stack[-1][1].append(tree)
+            if pos < len(text) and text[pos] == ",":
                 pos += 1
-                kids.append(take_tree())
+                break
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError(f"expected ')' at position {pos} in {text!r}")
             pos += 1
-            return DecoratedTree(name, kids)
-        return DecoratedTree(name)
-
-    tree = take_tree()
+            name, kids = stack.pop()
+            tree = DecoratedTree(name, kids)
+        else:
+            break
     if pos != len(text):
         raise ParseError(f"trailing input at position {pos} in {text!r}")
     return tree
@@ -182,14 +203,13 @@ def fibres_of_degree(n: int, alphabet: Iterable[str]) -> Mapping[MultiIndex, tup
 
 @cache
 def _fibres(n: int, alph: tuple[str, ...]) -> Mapping[MultiIndex, tuple]:
-    # Profiles as ints: a field of n.bit_length() bits, which holds any
-    # count up to n, for each key (a, j), j = -1..n-2, in canonical key
-    # order.  A tree's code is its root key's unit code plus its children's
-    # codes, so the trees below n, the only possible children, keep theirs,
-    # keyed by id: `_trees_exact`'s cache holds every tree alive.
-    keys = [(a, j) for a in alph for j in range(-1, n - 1)]
-    width = n.bit_length()
-    unit_code = {key: 1 << (width * i) for i, key in enumerate(keys)}
+    # Profiles as ints in the one packed layout of the box with n at each
+    # key (a, j), j = -1..n-2, which holds every profile of degree n.  A
+    # tree's code is its root key's unit code plus its children's codes, so
+    # the trees below n, the only possible children, keep theirs, keyed by
+    # id: `_trees_exact`'s cache holds every tree alive.
+    layout = PackedLayout(MultiIndex(dict.fromkeys(_keys(alph, n - 2), n)))
+    unit_code = {key: 1 << offset for key, offset in layout.offsets.items()}
     codes: dict[int, int] = {}
 
     def code_of(t: DecoratedTree) -> int:
@@ -204,10 +224,7 @@ def _fibres(n: int, alph: tuple[str, ...]) -> Mapping[MultiIndex, tuple]:
     groups: dict[int, list] = {}
     for t in _trees_exact(n, alph):
         groups.setdefault(code_of(t), []).append(t)
-    mask = (1 << width) - 1
-    fibres = [(MultiIndex._raw(tuple((key, c) for i, key in enumerate(keys)
-                                     if (c := (code >> (width * i)) & mask))), tuple(v))
-              for code, v in groups.items()]
+    fibres = [(layout.decode(code), tuple(v)) for code, v in groups.items()]
     return MappingProxyType(dict(sorted(fibres, key=lambda kv: kv[0].sort_key())))
 
 

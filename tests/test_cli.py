@@ -97,6 +97,15 @@ def test_transition_unreachable(capsys):
     assert payload == {"k": "a:-1=1", "b": "a:0=1", "l": None, "terms": []}
 
 
+@pytest.mark.parametrize("entries", [45, 200])
+def test_transition_on_many_distinct_entries(capsys, entries):
+    # One transport array, the identity, found at any number of cells.
+    k = ",".join(f"a:{j}=1" for j in range(entries))
+    code, out, _ = run(capsys, "transition", k, k)
+    assert code == 0
+    assert out == "1\n"
+
+
 # -- coproduct ---------------------------------------------------------------------
 
 def test_coproduct_text(capsys):
@@ -157,6 +166,27 @@ GOLDEN = [
         ("refined-C", "ordered", "84183905cd103a2f1a239f6ec51e4ca4767cc0a63f1417612a957c96b5fd9616"),
         ("refined-D", "multiset", "c2033db75e6b06c12c3463fcc52e7f65216413ed8799a0e0e417f9979c20b559"),
         ("refined-D", "ordered", "87c901a56ede669ca69079d99cf3bef3bb008569e721c463e1e2850151357d69"))
+] + [
+    # Recorded before every packed path moved onto `multiindex.PackedLayout`:
+    # F by the box-truncated solve, the transport-array walk and the fibre
+    # grouping of the oracle, and the packed series product of its H_m check.
+    (("count", "a:-1=3,a:1=1,b:0=1,b:1=1"),
+     "234c006180a6946aa6841f40823cca058f07f94dd46343aa0fec58c4889c0b66"),
+    (("count", "a:-1=3,a:0=4,a:3=1,b:-1=1,b:0=1"),
+     "0913f8c2552a0f942b82909ac1e1a6048ed5bbc4b6017d6ea7a93118fdbc71ea"),
+    (("count", "a:-1=4,a:0=2,a:1=1,b:-1=2,b:0=4,b:4=1"),
+     "18eafbd8caf31c7a573bcc03c5fd9795e952abaa50807f2990f2d9aa49d33dbb"),
+    (("count", "a:-1=1,a:0=1000"),
+     "c3d4cc9d411669e02da9c0dc2a2d3b9b97e70268440b37f8dd3ecaae8da1d18f"),
+    (("transition", "a:-1=1,a:0=3,b:0=5,b:3=3", "a:-1=2,a:0=2,b:-1=3,b:0=2,b:2=2,b:3=1"),
+     "be66aaf04bc31273afd4389a86dad2eee4742fa91fa684c9d41e5bb842271dd9"),
+    (("transition", "a:-1=1,a:0=1,a:2=3,a:3=2,a:4=1,b:-1=1,b:1=2,b:3=2,b:4=1",
+      "a:-1=2,a:1=1,a:2=2,a:3=2,b:-1=1,b:1=2,b:3=2,b:4=2"),
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (("oracle", "--max-n", "6", "--alphabet", "a,b"),
+     "5ad803b8a8784303e3f0faa8ded0f274e3977480229b974315e5cddf6cc353dc"),
+    (("oracle", "--max-n", "6", "--alphabet", "a,b", "--format", "json"),
+     "0157165a7face58d002c64729d4110d7548d1e2f99433cd0b412405c0fbfe346"),
 ]
 
 

@@ -8,8 +8,10 @@ import pytest
 from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits,
                                   coproduct, coproduct_raw, forest_symmetry)
 from fibrecount.lowering import _extension_keys
-from fibrecount.multiindex import (MultiIndex, enumerate_profiles,
-                                   iter_profile_parts, multiindices_of_degree)
+from fibrecount.multiindex import (MultiIndex, PackedLayout, branch_multisets,
+                                   enumerate_profiles, iter_profile_parts,
+                                   multiindices_of_degree)
+from fibrecount.ordinary import ordinary_count
 
 # The package exports the function `coproduct` under the module's name.
 coproduct_module = importlib.import_module("fibrecount.coproduct")
@@ -142,7 +144,7 @@ def _plain_splits(k):
 
 
 # Counts 1, 3, 4, 7, 8, 15 and 16 sit on the field-width boundaries of
-# `packed_layout` (a count c takes c.bit_length() + 1 bits).
+# `PackedLayout` (a count c takes c.bit_length() + 1 bits).
 BOUNDARY_PROFILES = [mi(f"a:-1=1,a:0={c}") for c in (1, 3, 4, 7, 8, 15, 16)] + [
     mi("a:-1=4,a:1=3"), mi("a:-1=8,a:1=7"), mi("a:-1=16,a:1=15"),
     mi("a:-1=8,a:0=1,a:1=7"), mi("a:-1=4,a:0=16,a:1=3"),
@@ -157,18 +159,23 @@ def test_packed_forest_splits_match_plain_enumeration():
         assert list(_forest_splits(k)) == _plain_splits(k), k
 
 
-def test_narrower_packed_fields_break_the_splits(monkeypatch):
-    # The comparison above has the power to see a layout one bit too narrow.
-    def narrow_layout(k):
-        offsets, top, guard = {}, 0, 0
-        for key, c in k.items():
-            offsets[key] = top
-            top += c.bit_length()
-            guard |= 1 << (top - 1)
-        return offsets, guard
+def test_narrower_packed_fields_break_the_packed_paths(monkeypatch):
+    # The comparisons with the plain routes have the power to see the one
+    # layout one bit too narrow, in each path that subtracts under its guard.
+    def branches(k):
+        return [(part, list(multisets)) for part, multisets in branch_multisets(k)]
 
-    monkeypatch.setattr(coproduct_module, "packed_layout", narrow_layout)
-    assert all(list(_forest_splits(k)) != _plain_splits(k) for k in BOUNDARY_PROFILES)
+    counts = {k: ordinary_count(k) for k in BOUNDARY_PROFILES}
+    walked = {k: branches(k) for k in BOUNDARY_PROFILES}
+    monkeypatch.setattr(PackedLayout, "field_width",
+                        staticmethod(lambda count: count.bit_length()))
+    for k in BOUNDARY_PROFILES:
+        assert list(_forest_splits(k)) != _plain_splits(k), k
+        assert ordinary_count(k) != counts[k], k
+        # A chain's branch multisets are single parts found by their codes,
+        # with no subtraction; a binary vertex's need one.
+        if k.max_index() >= 1:
+            assert branches(k) != walked[k], k
 
 
 @pytest.mark.parametrize("mode", DECOMPOSITION_MODES)

@@ -1,13 +1,14 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fibrecount.multiindex import (MultiIndex, ParseError, apply_shift,
-                                   branch_multisets, enumerate_multiindices,
-                                   enumerate_profiles, find_shift,
-                                   iter_profile_parts, unit)
+from fibrecount.multiindex import (MultiIndex, PackedLayout, ParseError,
+                                   apply_shift, branch_multisets,
+                                   enumerate_multiindices, enumerate_profiles,
+                                   find_shift, iter_profile_parts, unit)
 from fibrecount.trees import fibres_of_degree
 
 
@@ -151,6 +152,71 @@ def test_branch_multisets_match_combinations():
         assert [part for part, _ in branch_multisets(k, set(parts[:-1]))] == [k]
     with pytest.raises(ValueError):
         next(branch_multisets(mi("a:0=1")))
+
+
+# -- the packed layout ---------------------------------------------------------
+
+# Boxes on one and on two letters, with counts on the field-width boundaries.
+LAYOUT_COUNTS = (1, 3, 4, 7, 8, 15, 16)
+LAYOUT_BOXES = ("a:-1={c},a:1={c}", "a:0={c},b:-1={c}",
+                "a:-1={c},a:0=3,a:2={c}", "a:1={c},b:-1=2,b:0={c}")
+
+
+def _in_box(box):
+    keys = [key for key, _ in box.items()]
+    return [MultiIndex(dict(zip(keys, counts)))
+            for counts in itertools.product(*(range(c + 1) for _, c in box.items()))]
+
+
+def _fields(layout, code):
+    # Each field read between its offset and the next, guard bit included.
+    bounds = sorted(layout.offsets.values()) + [layout.guard.bit_length()]
+    width = {offset: bounds[i + 1] - offset for i, offset in enumerate(bounds[:-1])}
+    return {key: code >> offset & ((1 << width[offset]) - 1)
+            for key, offset in layout.offsets.items()}
+
+
+@pytest.mark.parametrize("c", LAYOUT_COUNTS)
+@pytest.mark.parametrize("shape", LAYOUT_BOXES)
+def test_layout_decodes_every_code_in_the_box(shape, c):
+    box = mi(shape.format(c=c))
+    layout = PackedLayout(box)
+    codes = set()
+    for m in _in_box(box):
+        code = layout.code(m)
+        assert code & layout.guard == 0
+        assert layout.decode(code) == m
+        codes.add(code)
+    assert len(codes) == math.prod(count + 1 for _, count in box.items())
+
+
+@pytest.mark.parametrize("c", LAYOUT_COUNTS)
+@pytest.mark.parametrize("shape", LAYOUT_BOXES[:2])     # every pair: two keys only
+def test_layout_add_and_guarded_subtraction(shape, c):
+    box = mi(shape.format(c=c))
+    layout = PackedLayout(box)
+    guard = layout.guard
+    ms = _in_box(box)
+    codes = [layout.code(m) for m in ms]
+    for r, r_code in zip(ms, codes):
+        for m, m_code in zip(ms, codes):
+            # Codes add field by field, with no carry into the next field.
+            assert _fields(layout, r_code + m_code) == {
+                key: r.get(*key) + m.get(*key) for key in layout.offsets}
+            diff = (r_code | guard) - m_code
+            assert (diff & guard == guard) == r.includes(m)
+            if r.includes(m):
+                assert layout.decode(diff - guard) == r - m
+
+
+def test_layout_slack_marks_the_sub_boxes():
+    box = mi("a:-1=7,a:0=4,b:2=16")
+    layout = PackedLayout(box)
+    for r in (1, 2, 3, 5):
+        sub = MultiIndex({key: c // r for key, c in box.items()})
+        slack = layout.slack(r)
+        for m in _in_box(box):
+            assert ((layout.code(m) + slack) & layout.guard == 0) == sub.includes(m)
 
 
 # -- shifts --------------------------------------------------------------------

@@ -185,6 +185,21 @@ def test_deep_chain_automorphism_order():
     assert t.profile() == mi("a:-1=1,a:0=3000")
 
 
+def test_deep_chain_text_round_trip():
+    # A leaf under 3,000 unary vertices through str, parse_tree and repr.
+    t = DecoratedTree("a")
+    for _ in range(3000):
+        t = DecoratedTree("a", [t])
+    text = str(t)
+    assert text == "a(" * 3000 + "a" + ")" * 3000
+    back = parse_tree(text)
+    assert str(back) == text
+    assert hash(back) == hash(t)
+    assert back.vertex_count() == 3001
+    assert back.profile() == t.profile()
+    assert repr(back) == f"DecoratedTree({text!r})"
+
+
 def test_automorphism_examples():
     assert parse_tree("a").automorphism_order() == 1
     assert parse_tree("a(a,a)").automorphism_order() == 2
