@@ -18,14 +18,22 @@ multiset multiplicity enters through
 
 the number of size-m multisets from r objects.  It walks the branch
 multisets of `multiindex.branch_multisets` bottom-up over the parts of the
-profile, so it never recurses either.  The oracle checks both routes
-against brute force, and the Euler product below reads the recursion, so
-that its F does not come from the cycle-index equation.
+profile, so it never recurses either.  The W recursion
+(`weighted.weighted_counts_recursive`) sums the same multisets, so one
+walk fills one memo of (F, W) pairs per part, and each route reads its
+half; the two folds share the multisets and nothing else.  The oracle
+checks both routes against brute force, and the Euler product below
+reads the recursion, so that its F does not come from the cycle-index
+equation.
 
 The branch-multiset series H_m admits two independent computations that
 must agree: coefficient extraction from the Euler-type product over all
 profiles, and evaluation of the multiset cycle index at power-substituted
-copies of the F series.
+copies of the F series.  The product multiplies in one factor
+(1 - z u^p)^(-F_p) per profile p, in place, on per-(z, degree) dicts of
+integer coefficients over monomials packed in one layout
+(`multiindex.PackedLayout`), and builds the H_m series once at the end.
+The cycle-index route solves F once for Z_0..Z_m.
 
 The cycle index obeys Z_0 = 1, m Z_m = sum_{r=1..m} p_r Z_{m-r} (Polya;
 Flajolet and Sedgewick, Analytic Combinatorics I.2, MSET), so Z_0..Z_m
@@ -39,7 +47,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .multiindex import (MultiIndex, PackedLayout, branch_multisets,
+from .multiindex import (MultiIndex, PackedLayout, _keys, branch_multisets,
                          enumerate_profiles)
 from .series import TruncatedSeries, attach_roots, solve_graded, solve_series
 
@@ -63,26 +71,40 @@ def ordinary_count(k: MultiIndex) -> int:
     return top.get(PackedLayout(k).code(k), 0)
 
 
-# F of every profile met so far.  A call fills it bottom-up over the parts
-# of k, each from branches already in it, so nothing recurses.
-_F_MEMO: dict[MultiIndex, int] = {}
+# (F, W) of every profile met so far.  A call fills it bottom-up over the
+# parts of k, each from branches already in it, so nothing recurses.
+_COUNTS: dict[MultiIndex, tuple[int, Fraction]] = {}
+
+
+def _branch_counts(k: MultiIndex) -> tuple[int, Fraction]:
+    """(F, W) of the profile k by the branch-multiset recursion, from one
+    walk of `branch_multisets` over the weight -1 parts of k.  Each
+    multiset adds prod mlt(F(branch), mult) to F and
+    prod W(branch)^mult / mult! to W; neither sum reads the other."""
+    if k.weight() != -1:
+        raise ValueError("weight must be -1")
+    if k not in _COUNTS:
+        for part, multisets in branch_multisets(k, _COUNTS):
+            f, num, den = 0, 0, 1
+            for multiset in multisets:
+                pf, pn, pd = 1, 1, 1
+                for branch, mult in multiset:
+                    bf, bw = _COUNTS[branch]
+                    pf *= mlt(bf, mult)
+                    pn *= bw.numerator ** mult
+                    pd *= bw.denominator ** mult * math.factorial(mult)
+                f += pf
+                # W as num / den in ints, reduced once per part.
+                lcm = math.lcm(den, pd)
+                num, den = num * (lcm // den) + pn * (lcm // pd), lcm
+            _COUNTS[part] = (f, Fraction(num, den))
+    return _COUNTS[k]
 
 
 def ordinary_count_recursive(k: MultiIndex) -> int:
     """Number of trees with profile k, by the branch-multiset recursion,
     evaluated bottom-up over the weight -1 parts of k."""
-    if k.weight() != -1:
-        raise ValueError("weight must be -1")
-    if k not in _F_MEMO:
-        for part, multisets in branch_multisets(k, _F_MEMO):
-            total = 0
-            for multiset in multisets:
-                prod = 1
-                for branch, mult in multiset:
-                    prod *= mlt(_F_MEMO[branch], mult)
-                total += prod
-            _F_MEMO[part] = total
-    return _F_MEMO[k]
+    return _branch_counts(k)[0]
 
 
 def cycle_index_set(m: int, power_values: Sequence) -> list:
@@ -120,34 +142,42 @@ def ordinary_series(alphabet: Iterable[str], max_degree: int) -> TruncatedSeries
 
 # -- the z-graded product route for H_m --------------------------------------
 
-def _zpoly_mul(left: list[TruncatedSeries], right: list[TruncatedSeries],
-               max_z: int) -> list[TruncatedSeries]:
-    bound = left[0].max_degree
-    out = [TruncatedSeries.zero(bound) for _ in range(max_z + 1)]
-    for i, ci in enumerate(left[:max_z + 1]):
-        if not ci:
-            continue
-        for jz in range(min(len(right) - 1, max_z - i) + 1):
-            if right[jz]:
-                out[i + jz] = out[i + jz] + ci * right[jz]
-    return out
-
-
 @cache
 def _euler_product_z(alph: tuple[str, ...],
                      max_degree: int) -> tuple[TruncatedSeries, ...]:
     # z^m carries only monomials of degree >= m, so z^0..z^max_degree
-    # are all the coefficients below the bound.
+    # are all the coefficients below the bound.  prod[z][d] holds the
+    # degree-d terms of the coefficient of z to the power z, as integer
+    # coefficients over codes in the box with the bound at every key that
+    # a profile of degree <= bound can use; a monomial within the bound
+    # has no count above it, so the box cuts no term.
     bound = max_degree
-    prod = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * bound
+    layout = PackedLayout(MultiIndex(dict.fromkeys(_keys(alph, bound - 2), bound)))
+    prod = [[{} for _ in range(bound + 1)] for _ in range(bound + 1)]
+    prod[0][0][0] = 1
     for part in enumerate_profiles(alph, bound):
         f = ordinary_count_recursive(part)
         if f == 0:
             continue
-        factor = [TruncatedSeries(bound, {part.scale(i): Fraction(mlt(f, i))})
-                  for i in range(bound // part.degree() + 1)]
-        prod = _zpoly_mul(prod, factor, bound)
-    return tuple(prod)
+        # Times (1 - z u^part)^(-f) = sum_i mlt(f, i) z^i u^(i part), in
+        # place: z from the top down, so each z reads only the lower
+        # z - i, not yet multiplied.
+        size, code = part.degree(), layout.code(part)
+        terms = [(i, i * size, i * code, mlt(f, i)) for i in range(1, bound // size + 1)]
+        for z in range(bound, 0, -1):
+            row = prod[z]
+            for d in range(bound, z - 1, -1):
+                out = row[d]
+                for i, grow, shift, c in terms:
+                    if i > z or grow > d - (z - i):
+                        break     # lower z - i has no term of degree below z - i
+                    for s, v in prod[z - i][d - grow].items():
+                        u = s + shift
+                        out[u] = out.get(u, 0) + c * v
+    return tuple(TruncatedSeries._trusted(bound, {layout.decode(code): Fraction(v)
+                                                  for level in row
+                                                  for code, v in level.items()})
+                 for row in prod)
 
 
 def h_series_product(alphabet: Iterable[str], m: int,
@@ -161,10 +191,18 @@ def h_series_product(alphabet: Iterable[str], m: int,
     return _euler_product_z(tuple(sorted(set(alphabet))), max_degree)[m]
 
 
+def _h_series_cycles(alphabet: Iterable[str], m: int,
+                     max_degree: int) -> list[TruncatedSeries]:
+    """[H_0, ..., H_m] as Z_0..Z_m evaluated at power-substituted copies
+    of the F series, from one solve of F."""
+    f_series = ordinary_series(alphabet, max_degree)
+    p = [f_series.substitute_powers(r) for r in range(1, m + 1)]
+    zs = cycle_index_set(m, p)
+    zs[0] = TruncatedSeries.one(max_degree)
+    return zs
+
+
 def h_series_cycle(alphabet: Iterable[str], m: int,
                    max_degree: int) -> TruncatedSeries:
     """H_m as Z_m evaluated at power-substituted copies of the F series."""
-    f_series = ordinary_series(alphabet, max_degree)
-    p = [f_series.substitute_powers(r) for r in range(1, m + 1)]
-    return TruncatedSeries.one(max_degree) * cycle_index_set(m, p)[m]
-
+    return _h_series_cycles(alphabet, m, max_degree)[m]

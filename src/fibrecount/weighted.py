@@ -8,8 +8,9 @@ For a profile k of degree n (weight -1 throughout):
 
 The recursion decomposes a profile at one fertile entry (a, j) into
 multisets of j + 1 weight -1 branch profiles, the same multisets the F
-recursion walks (`multiindex.branch_multisets`).  It runs bottom-up over
-the parts of the profile, so it never recurses.  Extracting the
+recursion sums: one walk of `multiindex.branch_multisets` fills F and W
+of every part (`ordinary._branch_counts`).  It runs bottom-up over the
+parts of the profile, so it never recurses.  Extracting the
 coefficient from T = sum u_{a,j} T^(j+1) / (j+1)! sums over ordered
 tuples; a multiset {p^(m_p)} has (j+1)! / prod m_p! orderings, so it
 contributes prod_p W(p)^(m_p) / m_p! (the exponential formula).  The
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .multiindex import MultiIndex, branch_multisets
+from .multiindex import MultiIndex
+from .ordinary import _branch_counts
 from .series import TruncatedSeries, attach_roots, solve_series
 
 
@@ -71,27 +73,11 @@ def weighted_counts(k: MultiIndex) -> WeightedCounts:
     return WeightedCounts(L=int(labelled), W=w, J=int(mass))
 
 
-# W of every profile met so far.  A call fills it bottom-up over the parts
-# of k, each from branches already in it, so nothing recurses.
-_W_MEMO: dict[MultiIndex, Fraction] = {}
-
-
 def weighted_counts_recursive(k: MultiIndex) -> Fraction:
     """W as the sum over fertile entries and branch multisets of
     prod W(part)^mult / mult!, evaluated bottom-up over the weight -1
-    parts of k; memoized."""
-    if k.weight() != -1:
-        raise ValueError("weight must be -1")
-    if k not in _W_MEMO:
-        for part, multisets in branch_multisets(k, _W_MEMO):
-            total = Fraction(0)
-            for multiset in multisets:
-                prod = Fraction(1)
-                for branch, mult in multiset:
-                    prod *= _W_MEMO[branch] ** mult / math.factorial(mult)
-                total += prod
-            _W_MEMO[part] = total
-    return _W_MEMO[k]
+    parts of k; memoized with F."""
+    return _branch_counts(k)[1]
 
 
 def functional_rhs(series: TruncatedSeries, alphabet: Iterable[str]) -> TruncatedSeries:

@@ -187,6 +187,10 @@ GOLDEN = [
      "5ad803b8a8784303e3f0faa8ded0f274e3977480229b974315e5cddf6cc353dc"),
     (("oracle", "--max-n", "6", "--alphabet", "a,b", "--format", "json"),
      "0157165a7face58d002c64729d4110d7548d1e2f99433cd0b412405c0fbfe346"),
+    # Recorded before the Euler product moved onto packed integer codes and
+    # F and W onto one branch-multiset walk; the oracle-check benchmark job.
+    (("oracle", "--max-n", "8", "--alphabet", "a,b"),
+     "9b8a335d96062553abc64ffb949fe4cbc70ff3cec66b2b43c5f8d56153282d36"),
 ]
 
 
@@ -235,16 +239,19 @@ def test_oracle_json(capsys):
 
 @pytest.mark.parametrize("name, label", [
     ("ordinary_count", "ordinary-count"),
-    ("ordinary_count_recursive", "ordinary-count-recursive")])
+    ("ordinary_count_recursive", "ordinary-count-recursive"),
+    ("weighted_counts_recursive", "weighted-recursive")])
 def test_oracle_detects_each_wrong_count_route(capsys, monkeypatch, name, label):
-    # Either F route off by one on a single profile fails the oracle, under
-    # that route's own label.
+    # Either F route, or the W recursion, off by one on a single profile
+    # fails the oracle, under that route's own label.
     route = getattr(cli, name)
     wrong = MultiIndex.parse("a:-1=2,a:1=1")
+    right = route(wrong)
     monkeypatch.setattr(cli, name, lambda k: route(k) + (k == wrong))
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1
-    assert f"mismatch: quantity={label} k={wrong} expected=1 got=2\n" in out
+    assert (f"mismatch: quantity={label} k={wrong} expected={cli._frac_str(right)} "
+            f"got={cli._frac_str(right + 1)}\n") in out
 
 
 @pytest.mark.parametrize("name, label, expected", [

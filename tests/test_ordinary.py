@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from fibrecount import ordinary
 from fibrecount.multiindex import MultiIndex, enumerate_profiles
 from fibrecount.ordinary import (cycle_index_set, h_series_cycle,
                                  h_series_product, mlt, ordinary_count,
                                  ordinary_count_recursive, ordinary_series)
 from fibrecount.series import TruncatedSeries
 from fibrecount.trees import enumerate_trees, fibres_of_degree
+from fibrecount.weighted import weighted_counts_recursive
 
 
 def mi(text):
@@ -93,12 +95,39 @@ def test_count_spiders_match_partitions(legs, unary):
     assert ordinary_count(k) == sum(p)
 
 
-def test_count_long_chain_does_not_recurse():
+def test_count_long_chain_does_not_recurse(monkeypatch):
     limit = sys.getrecursionlimit()
     assert ordinary_count(mi("a:-1=1,a:0=5000")) == 1
     # The recursion runs bottom-up: a frame per level would overflow here.
+    # From an empty memo, W's walk fills F too.
+    monkeypatch.setattr(ordinary, "_COUNTS", {})
+    assert weighted_counts_recursive(mi("a:-1=1,a:0=1500")) == 1
     assert ordinary_count_recursive(mi("a:-1=1,a:0=1500")) == 1
     assert sys.getrecursionlimit() == limit
+
+
+# -- the shared (F, W) memo ----------------------------------------------------------
+
+@pytest.mark.parametrize("first", ["W", "F"])
+def test_shared_memo_either_order_matches_brute_force(monkeypatch, first):
+    # One walk fills F and W of every part; whichever route asks first, from
+    # an empty memo, both must come out right.  The profiles are asked
+    # largest first, so most answers are parts an earlier call filled.
+    monkeypatch.setattr(ordinary, "_COUNTS", {})
+    alphabet = ("a", "b")
+    fibres = {}
+    for n in range(1, 8):
+        fibres.update(fibres_of_degree(n, alphabet))
+    profiles = enumerate_profiles(alphabet, 7)[::-1]
+    routes = [ordinary_count_recursive, weighted_counts_recursive]
+    if first == "W":
+        routes.reverse()
+    got = {route: {k: route(k) for k in profiles} for route in routes}
+    for k in profiles:
+        fibre = fibres.get(k, ())
+        assert got[ordinary_count_recursive][k] == len(fibre), k
+        assert got[weighted_counts_recursive][k] == sum(
+            Fraction(1, t.automorphism_order()) for t in fibre), k
 
 
 # -- series -------------------------------------------------------------------------
@@ -198,6 +227,32 @@ def brute_h(alphabet, m, max_degree):
         if total.degree() <= max_degree:
             counts[total] += 1
     return counts
+
+
+def reference_euler_product(alphabet, bound):
+    """The z-graded product over TruncatedSeries: each factor
+    (1 - z u^part)^(-F_part) as a list of z coefficients, multiplied in as
+    z polynomials."""
+    prod = [TruncatedSeries.one(bound)] + [TruncatedSeries.zero(bound)] * bound
+    for part in enumerate_profiles(alphabet, bound):
+        f = ordinary_count_recursive(part)
+        factor = [TruncatedSeries(bound, {part.scale(i): Fraction(mlt(f, i))})
+                  for i in range(bound // part.degree() + 1)]
+        out = [TruncatedSeries.zero(bound) for _ in range(bound + 1)]
+        for i, left in enumerate(prod):
+            for jz, right in enumerate(factor[:bound + 1 - i]):
+                out[i + jz] = out[i + jz] + left * right
+        prod = out
+    return prod
+
+
+@pytest.mark.parametrize("alphabet, max_degree",
+                         [(("a",), 8), (("a", "b"), 6), (("a", "b", "c"), 4)])
+def test_h_series_product_matches_reference_product(alphabet, max_degree):
+    for bound in range(1, max_degree + 1):
+        reference = reference_euler_product(alphabet, bound)
+        for m in range(bound + 1):
+            assert h_series_product(alphabet, m, bound) == reference[m], (bound, m)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
