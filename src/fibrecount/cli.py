@@ -14,22 +14,23 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional
 
-from .multiindex import (MultiIndex, ParseError, apply_shift,
-                         enumerate_multiindices, enumerate_profiles,
-                         find_shift, is_valid_decoration)
+from .multiindex import (MultiIndex, ParseError, enumerate_multiindices,
+                         enumerate_profiles, find_shift, is_valid_decoration)
 from .trees import fibres_of_degree, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (_h_series_cycles, h_series_product, ordinary_count,
                        ordinary_count_recursive, ordinary_series)
-from .lowering import (apply_lowering, c_coefficient_level, c_coefficient_tables,
-                       coefficient_gf, d_coefficient_tables, transition_gf)
+from .lowering import (_as_lowering, _d_levels, apply_lowering,
+                       c_coefficient_level, c_coefficient_tables, target_steps,
+                       transition_gf, transport_walk, walk_term)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
 
@@ -374,48 +375,83 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                          f"got={_poly_str(dict(via_cycle.sorted_terms()))}")
     checks.append(("h-series-dual", mh + 1, h_bad))
 
-    # Lowering: C tables against iterated lowering, the D tables of the D
-    # route's own recursion (same support, D = C * target!) and the
-    # transport-array walk of k's generating function, stray targets included.
+    # Lowering: C tables against iterated lowering, the D route's own levels
+    # (same support, D = C * target!) and the transport-array walk of k,
+    # stray targets included.  All three meet in the walk's codes: the
+    # target of l has the code code(k) + sum l_key * steps[key], and a
+    # MultiIndex is built only for a mismatch message.
     lower_r = 3
     lower_ks = enumerate_multiindices(alph, min(max_n, 4), 3)
 
     def lowering_case(k):
         bad = []
         tables = c_tables_fn(k, lower_r)
-        gf = coefficient_gf(k, lower_r)
-        targets = [{low: apply_shift(k, low) for low in table} for table in tables]
+        layout, totals = transport_walk(k, lower_r)
+        steps = target_steps(k, layout)
+        base = layout.code(k)
+
+        def c_target(low):
+            # None when a target count of l is negative: l has a key off
+            # the extension keys of k, or k_j - l_j + l_{j+1} < 0 at one.
+            # A negative field would borrow a guard bit, but a large count
+            # below it can carry the bit back, so the counts are tested.
+            code = base
+            for (a, j), c in low.items():
+                step = steps.get((a, j))
+                if step is None or k.get(a, j) - c + low.get(a, j + 1) < 0:
+                    return None
+                code += c * step
+            return code
+        rows = [[(low, c_target(low), c) for low, c in table.items()] for table in tables]
+
         poly = {k: 1}
-        for r in range(1, lower_r + 1):
-            poly = apply_lowering(poly)
-            expanded = {targets[r][low]: c for low, c in tables[r].items()}
-            if expanded != poly:
-                bad.append(f"quantity=lowering-C k={k} r={r} "
-                           f"expected={_poly_str(poly)} got={_poly_str(expanded)}")
-                break
-        d_tables = d_coefficient_tables(k, lower_r)
         for r in range(0, lower_r + 1):
-            for low, d in d_tables[r].items():
-                if low not in tables[r]:
-                    bad.append(f"quantity=lowering-D k={k} l={low} "
+            lost = [(low, c) for low, code, c in rows[r] if code is None]
+            if lost:
+                bad.append(f"quantity=lowering-C k={k} r={r} l={lost[0][0]} "
+                           f"expected=0 got={lost[0][1]}")
+                break
+            if not r:
+                continue
+            poly = apply_lowering(poly)
+            expanded = {code: c for _, code, c in rows[r]}
+            if expanded != {layout.code(m): c for m, c in poly.items()}:
+                got = {layout.decode(code): c for code, c in expanded.items()}
+                bad.append(f"quantity=lowering-C k={k} r={r} "
+                           f"expected={_poly_str(poly)} got={_poly_str(got)}")
+                break
+
+        def walked(code):
+            return walk_term(k, layout, code, totals[code])[1] if code in totals else {}
+        d_levels = _d_levels(k, lower_r)
+        reached = set()
+        for r in range(0, lower_r + 1):
+            c_codes = {code for _, code, _ in rows[r]}
+            d_codes = {}
+            for low, d in d_levels[r].items():
+                code = base + sum(map(operator.mul, low, steps.values()))
+                d_codes[code] = d
+                if code not in c_codes:
+                    bad.append(f"quantity=lowering-D k={k} l={_as_lowering(steps, low)} "
                                f"expected=0 got={d}")
-            for low, c in tables[r].items():
-                target = targets[r][low]
-                via_c = c * target.symmetry_factor()
-                via_d = d_tables[r].get(low, 0)
+            for low, code, c in rows[r]:
+                if code is None:
+                    continue
+                reached.add(code)
+                via_c = c * layout.symmetry_factor(code)
+                via_d = d_codes.get(code, 0)
                 if via_c != via_d:
                     bad.append(f"quantity=lowering-D k={k} l={low} "
                                f"expected={via_c} got={via_d}")
-                upoly = gf.get(target, {})
-                want = {r: Fraction(c, math.factorial(r))}
-                if upoly != want:
-                    bad.append(f"quantity=lowering-transition k={k} b={target} "
-                               f"expected={_upoly_str(want)} got={_upoly_str(upoly)}")
-        reached = {target for level in targets for target in level.values()}
-        for target, upoly in gf.items():
-            if target not in reached:
-                bad.append(f"quantity=lowering-transition k={k} b={target} "
-                           f"expected=0 got={_upoly_str(upoly)}")
+                # The walk's u-degree at a target is its drop |l|.
+                if totals.get(code) != c or low.degree() != r:
+                    want = {r: Fraction(c, math.factorial(r))}
+                    bad.append(f"quantity=lowering-transition k={k} b={layout.decode(code)} "
+                               f"expected={_upoly_str(want)} got={_upoly_str(walked(code))}")
+        for code in totals:
+            if code not in reached:
+                bad.append(f"quantity=lowering-transition k={k} b={layout.decode(code)} "
+                           f"expected=0 got={_upoly_str(walked(code))}")
         return bad
     checks.append(("lowering-threeway", len(lower_ks),
                    [m for k in lower_ks for m in lowering_case(k)]))

@@ -1,7 +1,8 @@
 """The index-lowering derivation and its expansion coefficients.
 
 ``apply_lowering`` sends each monomial x^m to sum over fertile entries of
-m_j^a * x^(m - e_j^a + e_{j-1}^a); entries at j = -1 are annihilated.
+m_j^a * x^(m - e_j^a + e_{j-1}^a); entries at j = -1 are annihilated.  It
+splices each target from the monomial's canonical entry tuple.
 Iterating r times from x^k expands as sum over lowering multi-indices l of
 order r of C[k,l] * x^(k - l + left_shift(l)), where the plain coefficients
 C and the factorial-normalized D = C * target! each satisfy their own
@@ -16,8 +17,11 @@ their own route's table for k.  `c_coefficient_level` and
 The generating function in an auxiliary variable u factorizes over the
 entries of k, and its (k, b) coefficient is a sum over transport arrays;
 for reachable pairs it collapses to the single monomial
-u^|l| / |l|! * C[k,l].  `coefficient_gf` walks the transport arrays of k
-once for every target, and `transition_gf` enumerates those of one pair.
+u^|l| / |l|! * C[k,l].  `transport_walk` walks the transport arrays of k
+once, in integers, for every target, keyed by its code in a packed column
+layout; `coefficient_gf` decodes that walk, and `transition_gf`
+enumerates the arrays of one pair.  The oracle compares the routes in the
+walk's codes (`target_steps` gives the code of the target of any l).
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -30,20 +34,30 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .multiindex import MultiIndex, PackedLayout, apply_shift, unit
+from .multiindex import MultiIndex, PackedLayout, apply_shift
 
 Polynomial = dict  # MultiIndex -> int | Fraction
 UPolynomial = dict  # int degree -> Fraction
 
 
 def apply_lowering(poly: Polynomial) -> Polynomial:
-    """One application of the lowering derivation to a polynomial."""
+    """One application of the lowering derivation to a polynomial.
+
+    Each target is spliced from the monomial's canonical entry tuple: the
+    entry (a, j) loses one count and (a, j - 1), which sorts just before
+    it, gains one, so the tuple stays canonical with no sort."""
     out: Polynomial = {}
     for mono, coeff in poly.items():
-        for (a, j), c in mono.items():
+        entries = mono.items()
+        for i, ((a, j), c) in enumerate(entries):
             if j < 0:
                 continue
-            target = apply_shift(mono, unit(a, j))
+            rest = ((((a, j), c - 1),) if c > 1 else ()) + entries[i + 1:]
+            if i and entries[i - 1][0] == (a, j - 1):
+                head = entries[:i - 1] + (((a, j - 1), entries[i - 1][1] + 1),)
+            else:
+                head = entries[:i] + (((a, j - 1), 1),)
+            target = MultiIndex._raw(head + rest)
             out[target] = out.get(target, 0) + coeff * c
     return {m: c for m, c in out.items() if c != 0}
 
@@ -114,11 +128,14 @@ def _d_levels(k: MultiIndex, max_order: int) -> list[dict]:
     return _levels(k, max_order, k.symmetry_factor(), step)
 
 
+def _as_lowering(keys, low: tuple) -> MultiIndex:
+    # The multi-index of a dense lowering, counts over `keys` in order.
+    return MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c))
+
+
 def _as_multiindices(k: MultiIndex, levels: list[dict]) -> list[dict[MultiIndex, int]]:
     keys = _extension_keys(k)
-    return [{MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c)): v
-             for low, v in level.items()}
-            for level in levels]
+    return [{_as_lowering(keys, low): v for low, v in level.items()} for level in levels]
 
 
 def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
@@ -133,7 +150,7 @@ def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiInde
     rows = []
     for low, v in level.items():
         ext = low + (0,)
-        lowering = MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c))
+        lowering = _as_lowering(keys, low)
         target = MultiIndex._raw(tuple((key, c) for key, kc, own, up in spec
                                        if (c := kc - ext[own] + ext[up])))
         rows.append((lowering, target, v))
@@ -217,15 +234,38 @@ def coefficient_gf(k: MultiIndex, max_order: Optional[int] = None
 
     The multinomial expansion of the product is a sum over the transport
     arrays n[a, j, s] of k, -1 <= s <= j (see `transport_arrays`), so one
-    walk over the arrays of k yields every target b, b_s^a = sum_j n[a,j,s].
-    The u-degree of an array is its drop r = sum (j - s) * n[a,j,s] =
-    weight(k) - weight(b), one per target, and its weight is
-    k! / prod (n! * (j - s)!^n).  The walk goes row by row over the entries
-    of k and, within a row, cell by cell over s, on the column counts
-    packed in one int (`multiindex.PackedLayout`), with a stack in place
-    of recursion, and cuts a branch once its drop passes `max_order`.
-    Each array adds the integer r! * k! / prod (n! * (j - s)!^n) to its
-    target, divided by r! once per target.
+    walk over the arrays of k (`transport_walk`) yields every target b,
+    b_s^a = sum_j n[a,j,s].  The u-degree of an array is its drop
+    r = sum (j - s) * n[a,j,s] = weight(k) - weight(b), one per target,
+    and its weight is k! / prod (n! * (j - s)!^n); the walk's integer total
+    at b is r! times the coefficient of u^r, decoded here.
+    """
+    layout, totals = transport_walk(k, max_order)
+    return dict(walk_term(k, layout, code, total) for code, total in totals.items())
+
+
+def walk_term(k: MultiIndex, layout: PackedLayout, code: int, total: int
+              ) -> tuple[MultiIndex, UPolynomial]:
+    """The target b of one code of `transport_walk(k)` and its u-polynomial
+    {r: total / r!}, with r = weight(k) - weight(b)."""
+    target = layout.decode(code)
+    r = k.weight() - target.weight()
+    return target, {r: Fraction(total, math.factorial(r))}
+
+
+def transport_walk(k: MultiIndex, max_order: Optional[int] = None
+                   ) -> tuple[PackedLayout, dict[int, int]]:
+    """One walk over the transport arrays of k, as (layout, totals): each
+    target b of drop r <= `max_order` (any drop if None) is its code in
+    `layout`, the column layout with |k| at every key (a, s),
+    -1 <= s <= max_index(a), and totals[code] is the integer
+    sum over the arrays of b of r! * k! / prod (n! * (j - s)!^n), which is
+    C[k, l] for the l that reaches b.
+
+    The walk goes row by row over the entries of k and, within a row, cell
+    by cell over s, on the column counts packed in one int, with a stack
+    in place of recursion, and cuts a branch once its drop passes
+    `max_order`.
     """
     if max_order is not None and max_order < 0:
         raise ValueError("order must be >= 0")
@@ -260,12 +300,18 @@ def coefficient_gf(k: MultiIndex, max_order: Optional[int] = None
         for n in range(1, min(left, (limit - drop) // gap) + 1):
             stack.append((i, s + 1, left - n, drop + gap * n,
                           denom * math.factorial(n) * step ** n, cols + n * cell))
-    out: dict[MultiIndex, UPolynomial] = {}
-    for code, total in totals.items():
-        target = layout.decode(code)
-        r = k.weight() - target.weight()
-        out[target] = {r: Fraction(total, math.factorial(r))}
-    return out
+    return layout, totals
+
+
+def target_steps(k: MultiIndex, layout: PackedLayout) -> dict[tuple[str, int], int]:
+    """For each extension key (a, j) of k, in `_extension_keys` order, the
+    change of a target's code in the layout of `transport_walk(k)` per unit
+    of l at (a, j), which moves one count from (a, j) down to (a, j - 1):
+    the target k - l + left_shift(l) of a reachable l has the code
+    layout.code(k) + sum over the keys of l_key * steps[key]."""
+    offsets = layout.offsets
+    return {(a, j): (1 << offsets[(a, j - 1)]) - (1 << offsets[(a, j)])
+            for a, j in _extension_keys(k)}
 
 
 def transport_arrays(k: MultiIndex, b: MultiIndex) -> list[dict]:

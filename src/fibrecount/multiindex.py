@@ -384,6 +384,14 @@ class PackedLayout:
         return MultiIndex._raw(tuple((key, c) for key, offset, mask in self._fields
                                      if (c := code >> offset & mask)))
 
+    def symmetry_factor(self, code: int) -> int:
+        """m! for the m of an in-box code: the product of the factorials of
+        its counts, read with no `MultiIndex` built."""
+        out = 1
+        for _, offset, mask in self._fields:
+            out *= math.factorial(code >> offset & mask)
+        return out
+
     def slack(self, r: int) -> int:
         """The code that fills each field up to its guard bit less the count
         of box // r: the code s is in that box iff (s + slack(r)) & guard == 0."""

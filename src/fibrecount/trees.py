@@ -3,6 +3,8 @@
 Trees are immutable; construction sorts the children into canonical order
 (compare the nested ``(decoration, child keys)`` encoding lexicographically),
 so two trees are isomorphic as decorated rooted trees iff they are equal.
+Each tree holds that encoding flat, as one string, so comparing two trees
+of any depth is one string comparison with no recursion.
 
 Text format::
 
@@ -35,7 +37,13 @@ class DecoratedTree:
         kids = sorted(children, key=lambda t: t._key)
         self.decoration = decoration
         self.children = tuple(kids)
-        self._key = (decoration, tuple(t._key for t in kids))
+        # The key is the decoration, "\x01", the children's keys and "\x00".
+        # Both marks sort below every character of a decoration name, and no
+        # key is a proper prefix of another, so keys compare as strings in
+        # the order of the nested (decoration, child keys) tuples.  A key has
+        # about three chars per vertex of its subtree, so the keys of a
+        # chain of n vertices hold O(n^2) chars in all.
+        self._key = decoration + "\x01" + "".join(t._key for t in kids) + "\x00"
         self._hash = hash(self._key)
         self._size = 1 + sum(t._size for t in kids)
         # The children's orders times (run length)! for each run of equal

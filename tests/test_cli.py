@@ -4,12 +4,12 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
+from fibrecount.lowering import _extension_keys, c_coefficient_tables
 from fibrecount.multiindex import MultiIndex
 from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
@@ -191,6 +191,9 @@ GOLDEN = [
     # F and W onto one branch-multiset walk; the oracle-check benchmark job.
     (("oracle", "--max-n", "8", "--alphabet", "a,b"),
      "9b8a335d96062553abc64ffb949fe4cbc70ff3cec66b2b43c5f8d56153282d36"),
+    # Recorded before the lowering check moved onto the walk's codes.
+    (("oracle", "--max-n", "8", "--alphabet", "a,b", "--format", "json"),
+     "99187f6afe514222c7fd212b2e28939f68a34d4e6a4d7f4d8ac513df31eb6cdd"),
 ]
 
 
@@ -273,41 +276,62 @@ def test_oracle_detects_wrong_series(capsys, monkeypatch, name, label, expected)
     ("a:0=1,a:1=1", 1),    # an entry of the support
     ("a:0=2", 0)])         # an entry off the C table's support
 def test_oracle_detects_wrong_d_table(capsys, monkeypatch, low, expected):
-    # A D table off by one at one order-2 entry fails the oracle as lowering-D.
-    tables = cli.d_coefficient_tables
+    # The D route's levels off by one at one order-2 entry fail the oracle
+    # as lowering-D.
+    levels = cli._d_levels
     k, low = MultiIndex.parse("a:1=1"), MultiIndex.parse(low)
+    dense = tuple(low.get(*key) for key in _extension_keys(k))
 
     def wrong(kk, max_order):
-        out = tables(kk, max_order)
+        out = levels(kk, max_order)
         if kk == k:
-            out[2][low] = out[2].get(low, 0) + 1
+            out[2][dense] = out[2].get(dense, 0) + 1
         return out
-    monkeypatch.setattr(cli, "d_coefficient_tables", wrong)
+    monkeypatch.setattr(cli, "_d_levels", wrong)
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1
     assert (f"mismatch: quantity=lowering-D k={k} l={low} "
             f"expected={expected} got={expected + 1}\n") in out
 
 
-@pytest.mark.parametrize("target, upoly, expected", [
-    ("a:0=1", {1: Fraction(2)}, "expected=u got=2*u"),     # off by one
-    ("a:-1=2", {1: Fraction(1)}, "expected=0 got=u")],     # a stray target
+@pytest.mark.parametrize("target, total, expected", [
+    ("a:0=1", 2, "expected=u got=2*u"),         # off by one
+    ("a:-1=2", 1, "expected=0 got=u^3/6")],     # a stray target, at its drop 3
     ids=["off-by-one", "stray"])
-def test_oracle_detects_wrong_transition_walk(capsys, monkeypatch, target, upoly, expected):
+def test_oracle_detects_wrong_transition_walk(capsys, monkeypatch, target, total, expected):
     # A transport-array walk of k wrong on one target fails the oracle as
     # lowering-transition.
-    walk = cli.coefficient_gf
+    walk = cli.transport_walk
     k, target = MultiIndex.parse("a:1=1"), MultiIndex.parse(target)
 
     def wrong(kk, max_order=None):
-        out = walk(kk, max_order)
+        layout, totals = walk(kk, max_order)
         if kk == k:
-            out[target] = upoly
-        return out
-    monkeypatch.setattr(cli, "coefficient_gf", wrong)
+            totals[layout.code(target)] = total
+        return layout, totals
+    monkeypatch.setattr(cli, "transport_walk", wrong)
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1
     assert f"mismatch: quantity=lowering-transition k={k} b={target} {expected}\n" in out
+
+
+@pytest.mark.parametrize("low", [
+    "a:0=2",     # a negative target count at a:0
+    "a:2=1"])    # a key off the extension keys of k
+def test_oracle_reports_an_unreachable_c_entry(low):
+    # A C table entry whose target k - l + left_shift(l) has a negative
+    # count is a lowering-C mismatch, with no target decoded for it.
+    k, low = MultiIndex.parse("a:0=1"), MultiIndex.parse(low)
+
+    def wrong(kk, max_order):
+        tables = c_coefficient_tables(kk, max_order)
+        if kk == k:
+            tables[low.degree()][low] = 1
+        return tables
+    report = run_oracle(3, ("a",), c_tables_fn=wrong)
+    assert report["result"] == "fail"
+    assert report["first_mismatch"] == (
+        f"quantity=lowering-C k={k} r={low.degree()} l={low} expected=0 got=1")
 
 
 def test_oracle_detects_corrupted_formula():

@@ -54,6 +54,34 @@ def test_grading_moves_down():
             assert mono.weight() == k.weight() - step
 
 
+def _lowering_reference(poly):
+    # One lowering step with each target built by `apply_shift`.
+    out = {}
+    for mono, coeff in poly.items():
+        for (a, j), c in mono.items():
+            if j >= 0:
+                target = apply_shift(mono, unit(a, j))
+                out[target] = out.get(target, 0) + coeff * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def test_apply_lowering_matches_shift_reference():
+    # Same dict, same insertion order, over every k of the grid and over
+    # polynomials whose entries hit each splice case: (a, j - 1) present or
+    # absent, and a count of 1 or more; the last two terms cancel.
+    polys = [{k: 1} for k in enumerate_multiindices(("a", "b"), 4, 3)]
+    polys.append({mi("a:-1=1,a:0=2,a:1=1,a:3=3,b:0=1,b:2=2"): 3,
+                  mi("a:0=1,a:1=3,b:-1=2,b:0=1,b:1=1"): -2,
+                  mi("a:2=1,b:3=1"): Fraction(1, 2)})
+    polys.append({mi("a:1=1,b:0=1"): 1, mi("a:0=1,b:1=1"): -1})
+    for poly in polys:
+        for _ in range(4):
+            want, got = _lowering_reference(poly), apply_lowering(poly)
+            assert list(got.items()) == list(want.items())
+            assert all(m.items() == MultiIndex(dict(m.items())).items() for m in got)
+            poly = want
+
+
 def test_power_nilpotent():
     # x0^2 dies at order 3, x1 at order 3, x_{-1} at order 1
     assert lowering_power(mi("a:0=2"), 2) == {mi("a:-1=2"): 2}

@@ -186,6 +186,7 @@ def test_layout_decodes_every_code_in_the_box(shape, c):
         code = layout.code(m)
         assert code & layout.guard == 0
         assert layout.decode(code) == m
+        assert layout.symmetry_factor(code) == m.symmetry_factor()
         codes.add(code)
     assert len(codes) == math.prod(count + 1 for _, count in box.items())
 

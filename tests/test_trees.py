@@ -200,6 +200,47 @@ def test_deep_chain_text_round_trip():
     assert repr(back) == f"DecoratedTree({text!r})"
 
 
+def _nested_key(t):
+    # The canonical order's definition: nested (decoration, child keys)
+    # tuples, compared recursively (shallow trees only).
+    return (t.decoration, tuple(_nested_key(c) for c in t.children))
+
+
+@pytest.mark.parametrize("alphabet, max_n", [(("a", "b"), 6), (("a", "ab", "b_", "B"), 4)])
+def test_canonical_order_is_the_nested_tuple_order(alphabet, max_n):
+    # Decorations that are prefixes of one another, and every pair of trees
+    # up to the size, in both orders.
+    trees = [t for n in range(1, max_n + 1) for t in enumerate_trees(n, alphabet)]
+    assert trees == sorted(trees, key=lambda t: (t.vertex_count(), _nested_key(t)))
+    for n in range(1, max_n + 1):
+        assert enumerate_trees(n, alphabet) == sorted(enumerate_trees(n, alphabet),
+                                                      key=_nested_key)
+    sample = trees[::7] + trees[-40:]
+    for s, t in itertools.product(sample, repeat=2):
+        assert (s < t) == (_nested_key(s) < _nested_key(t))
+        assert (s == t) == (_nested_key(s) == _nested_key(t))
+    for t in sample:
+        assert parse_tree(str(t)) == t and str(parse_tree(str(t))) == str(t)
+
+
+def test_deep_chains_compare_without_recursion():
+    # Two separately parsed 1,501-level chains, equal and unequal, and two
+    # such chains as the children of one vertex, which the constructor sorts
+    # and compares for its automorphism order.
+    chain = "a(" * 1500 + "a" + ")" * 1500
+    other = "a(" * 1500 + "b" + ")" * 1500
+    assert parse_tree(chain) == parse_tree(chain)
+    assert parse_tree(chain) != parse_tree(other)
+    assert parse_tree(chain) < parse_tree(other)
+    assert not parse_tree(other) < parse_tree(chain)
+    twin = parse_tree(f"b({chain},{chain})")
+    assert twin.automorphism_order() == 2
+    pair = parse_tree(f"b({other},{chain})")
+    assert str(pair) == f"b({chain},{other})"
+    assert pair.automorphism_order() == 1
+    assert twin.vertex_count() == pair.vertex_count() == 3003
+
+
 def test_automorphism_examples():
     assert parse_tree("a").automorphism_order() == 1
     assert parse_tree("a(a,a)").automorphism_order() == 2
