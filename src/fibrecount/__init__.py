@@ -11,7 +11,8 @@ from .multiindex import (MultiIndex, ParseError, apply_shift,
                          enumerate_multiindices, enumerate_profiles,
                          find_shift, unit)
 from .trees import (DecoratedTree, enumerate_fibre, enumerate_trees,
-                    fibre_expansion, fibres_of_degree, parse_tree)
+                    fibre_expansion, fibre_statistics, fibres_of_degree,
+                    parse_tree)
 from .series import TruncatedSeries
 from .weighted import (WeightedCounts, prescribed_fertility_count,
                        weighted_counts, weighted_counts_recursive,
@@ -29,7 +30,7 @@ __all__ = [
     "MultiIndex", "ParseError", "apply_shift", "enumerate_multiindices",
     "enumerate_profiles", "find_shift", "unit",
     "DecoratedTree", "enumerate_fibre", "enumerate_trees", "fibre_expansion",
-    "fibres_of_degree", "parse_tree",
+    "fibre_statistics", "fibres_of_degree", "parse_tree",
     "TruncatedSeries",
     "WeightedCounts", "prescribed_fertility_count", "weighted_counts",
     "weighted_counts_recursive", "weighted_series",

@@ -23,11 +23,11 @@ from typing import Callable, Iterable, Optional
 
 from .multiindex import (MultiIndex, ParseError, enumerate_multiindices,
                          enumerate_profiles, find_shift, is_valid_decoration)
-from .trees import fibres_of_degree, labelled_fertility_counts
+from .trees import fibre_statistics, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
-from .ordinary import (_h_series_cycles, h_series_product, ordinary_count,
-                       ordinary_count_recursive, ordinary_series)
+from .ordinary import (_h_series_cycles, fill_counts, h_series_product,
+                       ordinary_count, ordinary_count_recursive, ordinary_series)
 from .lowering import (_as_lowering, _d_levels, apply_lowering,
                        c_coefficient_level, c_coefficient_tables, target_steps,
                        transition_gf, transport_walk, walk_term)
@@ -254,16 +254,18 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
         c_tables_fn = c_coefficient_tables
     alph = tuple(sorted(set(alphabet)))
     profiles = enumerate_profiles(alph, max_n)
-    fibres: dict[MultiIndex, tuple] = {}
-    tree_totals: dict[int, int] = {}
-    for n in range(1, max_n + 1):
-        groups = fibres_of_degree(n, alph)
-        fibres.update(groups)
-        tree_totals[n] = sum(len(v) for v in groups.values())
-
-    # The brute-force fibre mass sum 1/aut, read by three checks.
-    masses = {k: sum(Fraction(1, t.automorphism_order()) for t in fibres.get(k, ()))
+    # Brute force: each fibre's trees counted by automorphism order.  The
+    # fibre sizes and the fibre masses sum 1/aut, read by three checks, sum
+    # over the distinct orders.
+    stats = fibre_statistics(max_n, alph)
+    sizes = {k: sum(tally.values()) for k, tally in stats.items()}
+    masses = {k: sum(Fraction(m, aut) for aut, m in stats.get(k, {}).items())
               for k in profiles}
+    tree_totals = dict.fromkeys(range(1, max_n + 1), 0)
+    for k, size in sizes.items():
+        tree_totals[k.degree()] += size
+    # F and W of every profile by the recursion, in one walk.
+    fill_counts(alph, max_n)
 
     checks: list[tuple[str, int, list[str]]] = []
 
@@ -328,7 +330,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
 
     def ordinary_case(k):
         bad = []
-        expected = len(fibres.get(k, ()))
+        expected = sizes.get(k, 0)
         for label, got in (("ordinary-count", counts[k]),
                            ("ordinary-count-recursive", counts_recursive[k])):
             if got != expected:

@@ -6,12 +6,14 @@ times the r-th lowering iterate of x^b on the right leg.  The right leg can
 be expanded three ways that must agree term by term: iterating the lowering
 derivation directly, the C-coefficient expansion, or the D-coefficient
 expansion divided by the target factorial; the two refined forms read
-one level of the C or D table of b (`c_coefficient_level`,
-`d_coefficient_level`).  Splits that share a remainder b share its right
-leg, which `coproduct` expands once per call; b fixes the order,
-weight(b) + 1.  The splits are walked on codes in the one packed layout
-(`multiindex.PackedLayout`) of the box of k, so testing and removing a
-part costs one subtraction and one mask test.
+one level of the C or D table of b as (target, value) rows
+(`lowering._level_targets`: the rows of `c_coefficient_level` and
+`d_coefficient_level` with no `MultiIndex` built for l).  Splits that
+share a remainder b share its right leg, which `coproduct` expands once
+per call; b fixes the order, weight(b) + 1.  The splits are walked on
+codes in the one packed layout (`multiindex.PackedLayout`) of the box
+of k, so testing and removing a part costs one subtraction and one mask
+test.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .multiindex import MultiIndex, PackedLayout, iter_profile_parts
-from .lowering import c_coefficient_level, d_coefficient_level, lowering_power
+from .lowering import _c_levels, _d_levels, _level_targets, lowering_power
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
 
@@ -118,9 +120,10 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
     if form == "raw-dbar":
         return lowering_power(b, r)
     if form == "refined-C":
-        return {t: Fraction(c) for _, t, c in c_coefficient_level(b, r)}
+        return {t: Fraction(c) for t, c in _level_targets(b, _c_levels(b, r)[r])}
     if form == "refined-D":
-        return {t: Fraction(d, t.symmetry_factor()) for _, t, d in d_coefficient_level(b, r)}
+        return {t: Fraction(d, t.symmetry_factor())
+                for t, d in _level_targets(b, _d_levels(b, r)[r])}
     raise ValueError(f"unknown coproduct form {form!r}")
 
 

@@ -13,7 +13,9 @@ across calls: `c_coefficient` and `d_coefficient_recursive` each read
 their own route's table for k.  `c_coefficient_level` and
 `d_coefficient_level` convert only the level asked for, into rows
 (l, target, value) whose target is read off the tuple of l with no
-`apply_shift`; `lower` and the refined coproduct legs read these rows.
+`apply_shift`; `lower` reads these rows, and the refined coproduct legs,
+which have no use for l, read them as (target, value) rows with no
+`MultiIndex` built for l (`_level_targets`).
 The generating function in an auxiliary variable u factorizes over the
 entries of k, and its (k, b) coefficient is a sum over transport arrays;
 for reachable pairs it collapses to the single monomial
@@ -138,10 +140,11 @@ def _as_multiindices(k: MultiIndex, levels: list[dict]) -> list[dict[MultiIndex,
     return [{_as_lowering(keys, low): v for low, v in level.items()} for level in levels]
 
 
-def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """The rows (l, target, value) of one dense level of k, with the target
-    k - l + left_shift(l) read off the tuple: target_j^a = k_j^a - l_j^a +
-    l_{j+1}^a for j = -1..max_index(a), where l has no entry at j = -1."""
+def _level_targets(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, int]]:
+    """The rows (target, value) of one dense level of k, in the level's
+    order, with the target k - l + left_shift(l) read off the tuple of l:
+    target_j^a = k_j^a - l_j^a + l_{j+1}^a for j = -1..max_index(a), where
+    l has no entry at j = -1.  No `MultiIndex` is built for l."""
     keys = _extension_keys(k)
     index = {key: i for i, key in enumerate(keys)}
     pad = len(keys)     # the index of a zero appended to each tuple
@@ -150,11 +153,17 @@ def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiInde
     rows = []
     for low, v in level.items():
         ext = low + (0,)
-        lowering = _as_lowering(keys, low)
         target = MultiIndex._raw(tuple((key, c) for key, kc, own, up in spec
                                        if (c := kc - ext[own] + ext[up])))
-        rows.append((lowering, target, v))
+        rows.append((target, v))
     return rows
+
+
+def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """The rows (l, target, value) of one dense level of k."""
+    keys = _extension_keys(k)
+    return [(_as_lowering(keys, low), target, v)
+            for low, (target, v) in zip(level, _level_targets(k, level))]
 
 
 def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:

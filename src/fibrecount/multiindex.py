@@ -24,9 +24,12 @@ largest j down and, given a target weight, cuts each branch whose missing
 weight the remaining keys can no longer reach, so profiles are generated
 rather than filtered from the box.  `branch_multisets` walks the branch
 multisets that the F and W recursions share, for every part of a profile
-in (degree, entries) order, so both recursions run bottom-up.
-`PackedLayout` is the one packed-int layout of a box {m <= box}; every
-packed path of the package encodes and decodes through it.
+in (degree, entries) order, so both recursions run bottom-up;
+`profile_branch_multisets` is the same walk over every profile up to a
+degree at once, in the layout of `profile_box`, which the oracle uses to
+fill F and W of all its profiles in one pass.  `PackedLayout` is the one
+packed-int layout of a box {m <= box}; every packed path of the package
+encodes and decodes through it.
 """
 
 from __future__ import annotations
@@ -399,6 +402,13 @@ class PackedLayout:
         return fill - sum((c // r) << self.offsets[key] for key, c in self.box.items())
 
 
+def profile_box(alphabet: Iterable[str], max_degree: int) -> MultiIndex:
+    """The box with max_degree at every key (a, j), j <= max_degree - 2: it
+    holds every profile of degree <= max_degree over the alphabet, and any
+    sum of such profiles of total degree <= max_degree."""
+    return MultiIndex(dict.fromkeys(_keys(alphabet, max_degree - 2), max_degree))
+
+
 def branch_multisets(k: MultiIndex, skip: Container = ()
                      ) -> Iterator[tuple[MultiIndex,
                                          Iterator[tuple[tuple[MultiIndex, int], ...]]]]:
@@ -419,7 +429,25 @@ def branch_multisets(k: MultiIndex, skip: Container = ()
         raise ValueError("weight must be -1")
     parts = iter_profile_parts(k)
     parts[-1] = k     # equal, and a memo keyed by the parts holds no copy of k
-    layout = PackedLayout(k)
+    yield from _branch_walk(parts, k, skip)
+
+
+def profile_branch_multisets(alphabet: Iterable[str], max_degree: int,
+                             skip: Container = ()):
+    """`branch_multisets` for every profile of degree <= max_degree over the
+    alphabet at once: the parts are `enumerate_profiles`, packed in the
+    layout of `profile_box`, so each profile's parts are walked once for
+    all of them."""
+    yield from _branch_walk(enumerate_profiles(alphabet, max_degree),
+                            profile_box(alphabet, max_degree), skip)
+
+
+def _branch_walk(parts: list[MultiIndex], box: MultiIndex, skip: Container):
+    # The walk of `branch_multisets` over `parts`, weight -1 profiles in
+    # (degree, entries) order, all <= box, holding every weight -1
+    # multi-index <= box of degree <= the largest part's: a branch that
+    # fits in a part is then a part.
+    layout = PackedLayout(box)
     offsets, guard = layout.offsets, layout.guard
     # Codes carry their guard bits, so a subtraction that stays in the box
     # leaves every guard bit set.

@@ -21,9 +21,12 @@ multisets of `multiindex.branch_multisets` bottom-up over the parts of the
 profile, so it never recurses either.  The W recursion
 (`weighted.weighted_counts_recursive`) sums the same multisets, so one
 walk fills one memo of (F, W) pairs per part, and each route reads its
-half; the two folds share the multisets and nothing else.  The oracle
-checks both routes against brute force, and the Euler product below
-reads the recursion, so that its F does not come from the cycle-index
+half; the two folds share the multisets and nothing else.  For one
+profile the walk covers only its parts; `fill_counts` walks every profile
+up to a degree at once, and the oracle and the Euler product below call
+it once each.  The oracle checks both routes against brute force (the
+tree records of `trees.fibre_statistics`), and the Euler product reads
+the recursion, so that its F does not come from the cycle-index
 equation.
 
 The branch-multiset series H_m admits two independent computations that
@@ -47,8 +50,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
-from .multiindex import (MultiIndex, PackedLayout, _keys, branch_multisets,
-                         enumerate_profiles)
+from .multiindex import (MultiIndex, PackedLayout, branch_multisets,
+                         enumerate_profiles, profile_box,
+                         profile_branch_multisets)
 from .series import TruncatedSeries, attach_roots, solve_graded, solve_series
 
 
@@ -76,29 +80,40 @@ def ordinary_count(k: MultiIndex) -> int:
 _COUNTS: dict[MultiIndex, tuple[int, Fraction]] = {}
 
 
+def _fill(walk) -> None:
+    # Each multiset adds prod mlt(F(branch), mult) to F and
+    # prod W(branch)^mult / mult! to W; neither sum reads the other.
+    for part, multisets in walk:
+        f, num, den = 0, 0, 1
+        for multiset in multisets:
+            pf, pn, pd = 1, 1, 1
+            for branch, mult in multiset:
+                bf, bw = _COUNTS[branch]
+                pf *= mlt(bf, mult)
+                pn *= bw.numerator ** mult
+                pd *= bw.denominator ** mult * math.factorial(mult)
+            f += pf
+            # W as num / den in ints, reduced once per part.
+            lcm = math.lcm(den, pd)
+            num, den = num * (lcm // den) + pn * (lcm // pd), lcm
+        _COUNTS[part] = (f, Fraction(num, den))
+
+
 def _branch_counts(k: MultiIndex) -> tuple[int, Fraction]:
     """(F, W) of the profile k by the branch-multiset recursion, from one
-    walk of `branch_multisets` over the weight -1 parts of k.  Each
-    multiset adds prod mlt(F(branch), mult) to F and
-    prod W(branch)^mult / mult! to W; neither sum reads the other."""
+    walk of `branch_multisets` over the weight -1 parts of k only."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
     if k not in _COUNTS:
-        for part, multisets in branch_multisets(k, _COUNTS):
-            f, num, den = 0, 0, 1
-            for multiset in multisets:
-                pf, pn, pd = 1, 1, 1
-                for branch, mult in multiset:
-                    bf, bw = _COUNTS[branch]
-                    pf *= mlt(bf, mult)
-                    pn *= bw.numerator ** mult
-                    pd *= bw.denominator ** mult * math.factorial(mult)
-                f += pf
-                # W as num / den in ints, reduced once per part.
-                lcm = math.lcm(den, pd)
-                num, den = num * (lcm // den) + pn * (lcm // pd), lcm
-            _COUNTS[part] = (f, Fraction(num, den))
+        _fill(branch_multisets(k, _COUNTS))
     return _COUNTS[k]
+
+
+def fill_counts(alphabet: Iterable[str], max_degree: int) -> None:
+    """(F, W) of every profile of degree <= max_degree over the alphabet,
+    by the same recursion as `_branch_counts`, from one walk over all of
+    them (`profile_branch_multisets`); profiles already known are kept."""
+    _fill(profile_branch_multisets(alphabet, max_degree, _COUNTS))
 
 
 def ordinary_count_recursive(k: MultiIndex) -> int:
@@ -152,7 +167,8 @@ def _euler_product_z(alph: tuple[str, ...],
     # a profile of degree <= bound can use; a monomial within the bound
     # has no count above it, so the box cuts no term.
     bound = max_degree
-    layout = PackedLayout(MultiIndex(dict.fromkeys(_keys(alph, bound - 2), bound)))
+    fill_counts(alph, bound)
+    layout = PackedLayout(profile_box(alph, bound))
     prod = [[{} for _ in range(bound + 1)] for _ in range(bound + 1)]
     prod[0][0][0] = 1
     for part in enumerate_profiles(alph, bound):

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .multiindex import MultiIndex, PackedLayout, _keys, unit
+from .multiindex import MultiIndex, PackedLayout, profile_box, unit
 
 Scalar = Union[int, Fraction]
 
@@ -266,7 +266,7 @@ def solve_series(alphabet: Iterable[str], max_degree: int,
     """F, or W if labelled, to total degree n = max_degree: profiles of
     degree <= n have j <= n - 2 and no count above n, so the box with n at
     each such key cuts no term."""
-    box = MultiIndex(dict.fromkeys(_keys(alphabet, max_degree - 2), max_degree))
+    box = profile_box(alphabet, max_degree)
     levels = solve_graded(box, max_degree, labelled)
     decode = PackedLayout(box).decode
     terms: dict[MultiIndex, Scalar] = {}

@@ -12,6 +12,15 @@ Text format::
 
 Formatting emits children in canonical order; parsing accepts any order and
 canonicalizes.
+
+Brute force builds every tree on n vertices from a root and a multiset of
+smaller trees (Polya's multiset construction; Flajolet and Sedgewick,
+Analytic Combinatorics I.2), walked by `_child_multisets` as pool indices.
+Two folds read that walk: `_trees_exact` builds `DecoratedTree` objects,
+for `enumerate_trees`, `fibres_of_degree`, `enumerate_fibre` and
+`fibre_expansion`; `fibre_statistics`, which the oracle reads, keeps each
+tree only as a record (profile code, aut) and counts each fibre's trees by
+automorphism order.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .multiindex import (MultiIndex, PackedLayout, ParseError, _keys,
-                         is_valid_decoration)
+from .multiindex import (MultiIndex, PackedLayout, ParseError,
+                         is_valid_decoration, profile_box)
 
 _NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 
@@ -176,30 +185,74 @@ def _trees_exact(n: int, alph: tuple[str, ...]) -> tuple[DecoratedTree, ...]:
     for s in range(1, n):
         pool.extend(_trees_exact(s, alph))
     sizes = [t._size for t in pool]
-    out = []
-    for root in alph:
-        for kids in _child_multisets(pool, sizes, n - 1):
-            out.append(DecoratedTree(root, kids))
+    out = [DecoratedTree(root, [pool[i] for i in kids])
+           for root in alph for kids in _child_multisets(sizes, n - 1)]
     return tuple(sorted(out, key=lambda t: t._key))
 
 
-def _child_multisets(pool, sizes, budget):
-    # Multisets as nondecreasing index sequences into pool; distinct
-    # multisets give distinct canonical trees, so no dedup pass is needed.
-    acc: list[DecoratedTree] = []
+def _child_multisets(sizes: list[int], budget: int):
+    """Every multiset of trees from a pool in size order, given by their
+    sizes, whose sizes total `budget`: a nondecreasing tuple of pool
+    indices, so a run of equal children is a run of equal indices.
+    Distinct multisets give distinct canonical trees, so no dedup pass is
+    needed."""
+    acc: list[int] = []
 
     def rec(start: int, remaining: int):
         if remaining == 0:
             yield tuple(acc)
             return
-        for i in range(start, len(pool)):
+        for i in range(start, len(sizes)):
             if sizes[i] > remaining:
                 break     # the pool is in size order
-            acc.append(pool[i])
+            acc.append(i)
             yield from rec(i, remaining - sizes[i])
             acc.pop()
 
     yield from rec(0, budget)
+
+
+def fibre_statistics(max_n: int, alphabet: Iterable[str]) -> dict[MultiIndex, dict[int, int]]:
+    """For every nonempty fibre of degree <= max_n over the alphabet, in
+    (degree, entries) order, the number of its trees with each automorphism
+    order, as {aut: count}.
+
+    Brute force: every tree with at most max_n vertices is enumerated, as
+    the multisets of its children (`_child_multisets`), but as a record
+    (code, aut) in place of a `DecoratedTree`.  The code is the profile's
+    in the layout of `profile_box`: the root key's unit code plus the
+    children's codes.  aut is the children's auts times, for each run of
+    equal children, (run length)!, as `DecoratedTree` computes it.
+    """
+    if max_n < 1:
+        raise ValueError("vertex count must be >= 1")
+    alph = _normalized_alphabet(alphabet)
+    layout = PackedLayout(profile_box(alph, max_n))
+    unit_code = {key: 1 << offset for key, offset in layout.offsets.items()}
+    sizes: list[int] = []     # every smaller tree, in size order,
+    pool: list[tuple[int, int]] = []     # as its record (code, aut)
+    stats: dict[int, dict[int, int]] = {}
+    for n in range(1, max_n + 1):
+        records = []
+        for root in alph:
+            for kids in _child_multisets(sizes, n - 1):
+                code = unit_code[(root, len(kids) - 1)]
+                aut = run = 1
+                prev = -1
+                for i in kids:
+                    run = run + 1 if i == prev else 1
+                    prev = i
+                    kid_code, kid_aut = pool[i]
+                    code += kid_code
+                    aut *= kid_aut * run
+                tally = stats.setdefault(code, {})
+                tally[aut] = tally.get(aut, 0) + 1
+                if n < max_n:     # no larger tree takes it as a child
+                    records.append((code, aut))
+        pool += records
+        sizes += [n] * len(records)
+    fibres = [(layout.decode(code), tally) for code, tally in stats.items()]
+    return dict(sorted(fibres, key=lambda kv: kv[0].sort_key()))
 
 
 def fibres_of_degree(n: int, alphabet: Iterable[str]) -> Mapping[MultiIndex, tuple]:
@@ -211,12 +264,12 @@ def fibres_of_degree(n: int, alphabet: Iterable[str]) -> Mapping[MultiIndex, tup
 
 @cache
 def _fibres(n: int, alph: tuple[str, ...]) -> Mapping[MultiIndex, tuple]:
-    # Profiles as ints in the one packed layout of the box with n at each
-    # key (a, j), j = -1..n-2, which holds every profile of degree n.  A
-    # tree's code is its root key's unit code plus its children's codes, so
-    # the trees below n, the only possible children, keep theirs, keyed by
-    # id: `_trees_exact`'s cache holds every tree alive.
-    layout = PackedLayout(MultiIndex(dict.fromkeys(_keys(alph, n - 2), n)))
+    # Profiles as ints in the layout of `profile_box(alph, n)`, which holds
+    # every profile of degree n.  A tree's code is its root key's unit code
+    # plus its children's codes, so the trees below n, the only possible
+    # children, keep theirs, keyed by id: `_trees_exact`'s cache holds
+    # every tree alive.
+    layout = PackedLayout(profile_box(alph, n))
     unit_code = {key: 1 << offset for key, offset in layout.offsets.items()}
     codes: dict[int, int] = {}
 

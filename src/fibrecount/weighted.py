@@ -9,7 +9,8 @@ For a profile k of degree n (weight -1 throughout):
 The recursion decomposes a profile at one fertile entry (a, j) into
 multisets of j + 1 weight -1 branch profiles, the same multisets the F
 recursion sums: one walk of `multiindex.branch_multisets` fills F and W
-of every part (`ordinary._branch_counts`).  It runs bottom-up over the
+of every part (`ordinary._branch_counts`), or of every profile up to a
+degree (`ordinary.fill_counts`).  It runs bottom-up over the
 parts of the profile, so it never recurses.  Extracting the
 coefficient from T = sum u_{a,j} T^(j+1) / (j+1)! sums over ordered
 tuples; a multiset {p^(m_p)} has (j+1)! / prod m_p! orderings, so it

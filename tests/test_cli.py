@@ -194,6 +194,12 @@ GOLDEN = [
     # Recorded before the lowering check moved onto the walk's codes.
     (("oracle", "--max-n", "8", "--alphabet", "a,b", "--format", "json"),
      "99187f6afe514222c7fd212b2e28939f68a34d4e6a4d7f4d8ac513df31eb6cdd"),
+    # Recorded before the brute force moved onto tree records and F and W
+    # onto one walk over all profiles.
+    (("oracle", "--max-n", "9", "--alphabet", "a,b", "--force"),
+     "20bb59e6858698fa39c2618aeb6be320f3452d5051b60ed47fb26b93b1711eba"),
+    (("oracle", "--max-n", "5", "--alphabet", "a,b,c", "--force"),
+     "889ab84cfade8cdb31d87b3600b090b3c37eec9341b27c9af18cd9c525079d3b"),
 ]
 
 
@@ -313,6 +319,28 @@ def test_oracle_detects_wrong_transition_walk(capsys, monkeypatch, target, total
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1
     assert f"mismatch: quantity=lowering-transition k={k} b={target} {expected}\n" in out
+
+
+@pytest.mark.parametrize("fault", ["drop-tree", "change-aut"])
+def test_oracle_brute_force_catches_a_fault(capsys, monkeypatch, fault):
+    # The fibre of k holds a(a,a(a)) with aut 1 and a(a(a,a)) with aut 2.
+    # Dropping the second tree changes F and W; making its aut 1 changes W.
+    statistics = cli.fibre_statistics
+    k = MultiIndex.parse("a:-1=2,a:0=1,a:1=1")
+
+    def wrong(max_n, alphabet):
+        stats = statistics(max_n, alphabet)
+        assert stats[k] == {1: 1, 2: 1}
+        stats[k] = {1: 1} if fault == "drop-tree" else {1: 2}
+        return stats
+    monkeypatch.setattr(cli, "fibre_statistics", wrong)
+    report = run_oracle(4, ("a", "b"))
+    failed = {c["name"] for c in report["checks"] if c["mismatches"]}
+    assert ("ordinary-count" in failed) == (fault == "drop-tree")
+    assert failed & {"weighted-threeway", "mass-integrality"}
+    code, out, _ = run(capsys, "oracle", "--max-n", "4", "--alphabet", "a,b")
+    assert code == 1
+    assert out.endswith("RESULT: FAIL\n")
 
 
 @pytest.mark.parametrize("low", [

@@ -130,6 +130,27 @@ def test_shared_memo_either_order_matches_brute_force(monkeypatch, first):
             Fraction(1, t.automorphism_order()) for t in fibre), k
 
 
+@pytest.mark.parametrize("alphabet,max_n", [(("a", "b"), 8), (("a", "b", "c"), 6)])
+def test_fill_counts_matches_per_profile_walks(monkeypatch, alphabet, max_n):
+    # The walk over all profiles at once gives every profile the (F, W) of
+    # its own walk, from an empty memo and from one that per-profile walks
+    # half filled, whose entries it keeps.
+    profiles = enumerate_profiles(alphabet, max_n)
+    monkeypatch.setattr(ordinary, "_COUNTS", {})
+    want = {k: ordinary._branch_counts(k) for k in profiles}
+    monkeypatch.setattr(ordinary, "_COUNTS", {})
+    ordinary.fill_counts(alphabet, max_n)
+    assert ordinary._COUNTS == want
+    monkeypatch.setattr(ordinary, "_COUNTS", {})
+    for k in profiles[::-2]:
+        ordinary._branch_counts(k)
+    half = dict(ordinary._COUNTS)
+    assert 0 < len(half) < len(profiles)
+    ordinary.fill_counts(alphabet, max_n)
+    assert ordinary._COUNTS == want
+    assert all(ordinary._COUNTS[k] is v for k, v in half.items())
+
+
 # -- series -------------------------------------------------------------------------
 
 # ordinary_count shares the series' solver, so the series is held against

@@ -8,8 +8,8 @@ import pytest
 from fibrecount.multiindex import MultiIndex
 from fibrecount.trees import (DecoratedTree, ParseError, enumerate_fibre,
                               enumerate_trees, fibre_expansion,
-                              fibres_of_degree, labelled_fertility_counts,
-                              parse_tree)
+                              fibre_statistics, fibres_of_degree,
+                              labelled_fertility_counts, parse_tree)
 
 # Rooted trees on n unlabelled vertices with c possible vertex decorations.
 # Classical values, independent of this package.
@@ -78,6 +78,21 @@ def test_fibres_match_profile_grouping(alphabet, max_n):
     # Same keys, key order and tree order as grouping by `profile()`.
     for n in range(1, max_n + 1):
         assert list(fibres_of_degree(n, alphabet).items()) == _group_by_profile(n, alphabet)
+
+
+@pytest.mark.parametrize("alphabet,max_n", [(("a", "b"), 7), (("a", "b", "c"), 5)])
+def test_fibre_statistics_match_enumerated_trees(alphabet, max_n):
+    # At every bound n, the records give the same multiset of (profile,
+    # aut) pairs as the trees of every size up to n, in profile order.
+    want = Counter()
+    for n in range(1, max_n + 1):
+        want.update((t.profile(), t.automorphism_order()) for t in enumerate_trees(n, alphabet))
+        stats = fibre_statistics(n, alphabet)
+        assert Counter({(k, aut): m for k, tally in stats.items()
+                        for aut, m in tally.items()}) == want
+        assert list(stats) == sorted(stats, key=MultiIndex.sort_key)
+    with pytest.raises(ValueError):
+        fibre_statistics(0, alphabet)
 
 
 def test_fibres_of_degree_is_read_only():
