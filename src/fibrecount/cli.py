@@ -21,15 +21,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional
 
-from .multiindex import (MultiIndex, ParseError, enumerate_multiindices,
+from .multiindex import (MultiIndex, ParseError, entries_text, enumerate_multiindices,
                          enumerate_profiles, find_shift, is_valid_decoration)
 from .trees import fibre_statistics, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (_h_series_cycles, fill_counts, h_series_product,
                        ordinary_count, ordinary_count_recursive, ordinary_series)
-from .lowering import (_as_lowering, _d_levels, apply_lowering,
-                       c_coefficient_level, c_coefficient_tables, target_steps,
+from .lowering import (_as_lowering, _c_levels, _d_levels, _level, _level_rows,
+                       apply_lowering, c_coefficient_tables, target_steps,
                        transition_gf, transport_walk, walk_term)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
@@ -175,14 +175,17 @@ def cmd_series(args) -> int:
 
 def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
-    rows = sorted(c_coefficient_level(k, args.r), key=lambda row: row[0].sort_key())
+    # Every l of one level has degree r, so the entry tuples of l sort as
+    # their multi-indices' sort keys do; the rows print with no MultiIndex.
+    rows = sorted(_level_rows(k, _level(_c_levels(k, args.r), args.r)),
+                  key=operator.itemgetter(0))
     if args.format == "json":
         print(json.dumps({"k": str(k), "r": args.r, "terms": [
-            {"l": str(low), "C": c, "target": str(target)}
+            {"l": entries_text(low), "C": c, "target": entries_text(target)}
             for low, target, c in rows]}))
     else:
         for low, target, c in rows:
-            print(f"l = {low}, C = {c}, target = {target}")
+            print(f"l = {entries_text(low)}, C = {c}, target = {entries_text(target)}")
     return 0
 
 
@@ -204,11 +207,16 @@ def cmd_transition(args) -> int:
 def cmd_coproduct(args) -> int:
     k = MultiIndex.parse(args.k)
     expansion = coproduct(k, args.form, args.decomposition, args.forest_sigma)
-    # Terms sort by (forest, right monomial); a forest is shared by many
-    # terms, so each forest's key and text are built once.
+    # Terms sort by (forest, right monomial); forests and right monomials
+    # are each shared by many terms, so each forest's key and text, and each
+    # monomial's text, are built once.  Every coefficient is a Fraction,
+    # which prints as it is.
     groups: dict = {}
+    texts: dict = {}
     for (forest, mono), c in expansion.items():
         groups.setdefault(forest, []).append((mono, c))
+        if mono not in texts:
+            texts[mono] = str(mono)
     ordered = sorted(groups.items(),
                      key=lambda kv: tuple(p.sort_key() + (m,) for p, m in kv[0]))
     for _, terms in ordered:
@@ -217,7 +225,8 @@ def cmd_coproduct(args) -> int:
         rows = []
         for forest, terms in ordered:
             parts = [{"k": str(p), "mult": m} for p, m in forest]
-            rows.extend({"forest": parts, "right": str(mono), **_frac_json(c)}
+            rows.extend({"forest": parts, "right": texts[mono],
+                         "num": c.numerator, "den": c.denominator}
                         for mono, c in terms)
         print(json.dumps({
             "k": str(k), "form": args.form,
@@ -228,7 +237,7 @@ def cmd_coproduct(args) -> int:
         lines = []
         for forest, terms in ordered:
             left = _forest_str(forest)
-            lines.extend(f"{left} (x) {mono} : {_frac_str(c)}" for mono, c in terms)
+            lines.extend(f"{left} (x) {texts[mono]} : {c}" for mono, c in terms)
         print("\n".join(lines))
     return 0
 
@@ -430,7 +439,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
         for r in range(0, lower_r + 1):
             c_codes = {code for _, code, _ in rows[r]}
             d_codes = {}
-            for low, d in d_levels[r].items():
+            for low, d in _level(d_levels, r).items():
                 code = base + sum(map(operator.mul, low, steps.values()))
                 d_codes[code] = d
                 if code not in c_codes:

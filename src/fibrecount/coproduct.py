@@ -10,10 +10,11 @@ one level of the C or D table of b as (target, value) rows
 (`lowering._level_targets`: the rows of `c_coefficient_level` and
 `d_coefficient_level` with no `MultiIndex` built for l).  Splits that
 share a remainder b share its right leg, which `coproduct` expands once
-per call; b fixes the order, weight(b) + 1.  The splits are walked on
-codes in the one packed layout (`multiindex.PackedLayout`) of the box
-of k, so testing and removing a part costs one subtraction and one mask
-test.
+per call; b fixes the order, weight(b) + 1, and a forest fixes b, so
+each (forest, monomial) term is one product, with no sum.  The splits
+are walked on codes in the one packed layout (`multiindex.PackedLayout`)
+of the box of k, so testing and removing a part costs one subtraction
+and one mask test.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .multiindex import MultiIndex, PackedLayout, iter_profile_parts
-from .lowering import _c_levels, _d_levels, _level_targets, lowering_power
+from .lowering import _c_levels, _d_levels, _level, _level_targets, lowering_power
 
 Forest = tuple  # ((MultiIndex, multiplicity), ...) sorted by sort_key
 
@@ -116,14 +117,14 @@ def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
     return out
 
 
-def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, Fraction]:
+def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, int | Fraction]:
     if form == "raw-dbar":
         return lowering_power(b, r)
     if form == "refined-C":
-        return {t: Fraction(c) for t, c in _level_targets(b, _c_levels(b, r)[r])}
+        return dict(_level_targets(b, _level(_c_levels(b, r), r)))
     if form == "refined-D":
         return {t: Fraction(d, t.symmetry_factor())
-                for t, d in _level_targets(b, _d_levels(b, r)[r])}
+                for t, d in _level_targets(b, _level(_d_levels(b, r), r))}
     raise ValueError(f"unknown coproduct form {form!r}")
 
 
@@ -135,17 +136,19 @@ def coproduct(k: MultiIndex, form: str = "raw-dbar",
 
     The three forms expand the right leg by different routes and must
     produce identical results.  Each distinct remainder b is expanded once
-    per call; it fixes the order, weight(b) + 1.
+    per call; it fixes the order, weight(b) + 1.  A forest fixes its
+    remainder, so each key receives one term, and no coefficient is 0.
+    Every coefficient is a Fraction, as every prefactor is.
     """
     if form not in FORMS:
         raise ValueError(f"unknown coproduct form {form!r}")
     out: dict[tuple[Forest, MultiIndex], Fraction] = {}
-    legs: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+    legs: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
     for term in coproduct_raw(k, decomposition, forest_sigma):
         leg = legs.get(term.remainder)
         if leg is None:
             leg = legs[term.remainder] = _right_leg(term.remainder, term.order, form)
+        forest, pre = term.forest, term.prefactor
         for mono, coeff in leg.items():
-            key = (term.forest, mono)
-            out[key] = out.get(key, 0) + term.prefactor * coeff
-    return {key: c for key, c in out.items() if c != 0}
+            out[(forest, mono)] = pre * coeff
+    return out

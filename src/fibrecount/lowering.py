@@ -8,14 +8,16 @@ order r of C[k,l] * x^(k - l + left_shift(l)), where the plain coefficients
 C and the factorial-normalized D = C * target! each satisfy their own
 one-step recursion.  Each route keeps per-k level tables on plain tuples
 of counts over the extension keys of k (`_levels`, level r read from
-level r - 1), builds a `MultiIndex` only at the output, and keeps no memo
+level r - 1, up to the last nonempty level, which the largest drop
+bounds), builds a `MultiIndex` only at the output, and keeps no memo
 across calls: `c_coefficient` and `d_coefficient_recursive` each read
-their own route's table for k.  `c_coefficient_level` and
-`d_coefficient_level` convert only the level asked for, into rows
-(l, target, value) whose target is read off the tuple of l with no
-`apply_shift`; `lower` reads these rows, and the refined coproduct legs,
-which have no use for l, read them as (target, value) rows with no
-`MultiIndex` built for l (`_level_targets`).
+their own route's table for k.  One converter, `_level_rows`, turns only
+the level asked for into rows (l, target, value) of canonical entry
+tuples, the target read off the tuple of l with no `apply_shift`.
+`lower` prints those tuples (`multiindex.entries_text`) with no
+`MultiIndex` built; `c_coefficient_level` and `d_coefficient_level` make
+both into multi-indices (`_level_terms`), and the refined coproduct legs,
+which have no use for l, only the target (`_level_targets`).
 The generating function in an auxiliary variable u factorizes over the
 entries of k, and its (k, b) coefficient is a sum over transport arrays;
 for reachable pairs it collapses to the single monomial
@@ -87,6 +89,9 @@ def _extension_keys(k: MultiIndex) -> list[tuple[str, int]]:
 def _levels(k: MultiIndex, max_order: int, start: int, step) -> list[dict]:
     """Levels 0..max_order of one route's recursion on dense lowerings:
     tuples of counts over `_extension_keys(k)`, mapped to nonzero values.
+    The list ends at the last nonempty level, which is at most the largest
+    drop sum (j + 1) * k_j^a, so an order past it costs nothing; `_level`
+    reads any order.
 
     Level r extends each entry of level r - 1 by one unit at key i and adds
     prior * step(l, i, t) to the new l, where t = k_i - l_i + l_{up(i)} is
@@ -111,8 +116,16 @@ def _levels(k: MultiIndex, max_order: int, start: int, step) -> list[dict]:
                     continue
                 low = base[:i] + (li,) + base[i + 1:]
                 level[low] = level.get(low, 0) + prior * step(low, i, t)
-        levels.append({low: v for low, v in level.items() if v})
+        level = {low: v for low, v in level.items() if v}
+        if not level:
+            break     # every later level is empty too
+        levels.append(level)
     return levels
+
+
+def _level(levels: list[dict], r: int) -> dict:
+    # Order r of a `_levels` list, which ends at its last nonempty level.
+    return levels[r] if r < len(levels) else {}
 
 
 def _c_levels(k: MultiIndex, max_order: int) -> list[dict]:
@@ -135,16 +148,19 @@ def _as_lowering(keys, low: tuple) -> MultiIndex:
     return MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c))
 
 
-def _as_multiindices(k: MultiIndex, levels: list[dict]) -> list[dict[MultiIndex, int]]:
+def _as_multiindices(k: MultiIndex, levels: list[dict],
+                     max_order: int) -> list[dict[MultiIndex, int]]:
     keys = _extension_keys(k)
-    return [{_as_lowering(keys, low): v for low, v in level.items()} for level in levels]
+    return [{_as_lowering(keys, low): v for low, v in _level(levels, r).items()}
+            for r in range(max_order + 1)]
 
 
-def _level_targets(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, int]]:
-    """The rows (target, value) of one dense level of k, in the level's
-    order, with the target k - l + left_shift(l) read off the tuple of l:
-    target_j^a = k_j^a - l_j^a + l_{j+1}^a for j = -1..max_index(a), where
-    l has no entry at j = -1.  No `MultiIndex` is built for l."""
+def _level_rows(k: MultiIndex, level: dict) -> list[tuple[tuple, tuple, int]]:
+    """The rows (l, target, value) of one dense level of k, in the level's
+    order, with l and the target as canonical entry tuples ((a, j), c): the
+    one converter of dense levels to rows.  The target k - l + left_shift(l)
+    is read off the tuple of l: target_j^a = k_j^a - l_j^a + l_{j+1}^a for
+    j = -1..max_index(a), where l has no entry at j = -1."""
     keys = _extension_keys(k)
     index = {key: i for i, key in enumerate(keys)}
     pad = len(keys)     # the index of a zero appended to each tuple
@@ -153,17 +169,23 @@ def _level_targets(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, int]]:
     rows = []
     for low, v in level.items():
         ext = low + (0,)
-        target = MultiIndex._raw(tuple((key, c) for key, kc, own, up in spec
-                                       if (c := kc - ext[own] + ext[up])))
-        rows.append((target, v))
+        rows.append((tuple([(key, c) for key, c in zip(keys, low) if c]),
+                     tuple([(key, c) for key, kc, own, up in spec
+                            if (c := kc - ext[own] + ext[up])]),
+                     v))
     return rows
 
 
+def _level_targets(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, int]]:
+    """The rows (target, value) of one dense level of k (`_level_rows`),
+    with no `MultiIndex` built for l."""
+    return [(MultiIndex._raw(target), v) for _, target, v in _level_rows(k, level)]
+
+
 def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """The rows (l, target, value) of one dense level of k."""
-    keys = _extension_keys(k)
-    return [(_as_lowering(keys, low), target, v)
-            for low, (target, v) in zip(level, _level_targets(k, level))]
+    """The rows (l, target, value) of one dense level of k (`_level_rows`)."""
+    return [(MultiIndex._raw(low), MultiIndex._raw(target), v)
+            for low, target, v in _level_rows(k, level)]
 
 
 def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:
@@ -174,33 +196,34 @@ def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:
     if any(key not in keys for key, _ in lowering.items()):
         return 0
     low = tuple(lowering.get(*key) for key in keys)
-    return levels_fn(k, lowering.degree())[-1].get(low, 0)
+    r = lowering.degree()
+    return _level(levels_fn(k, r), r).get(low, 0)
 
 
 def c_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
     """Tables of nonzero C[k,l] for |l| = 0..max_order, by the one-step
     recursion C[k,l] = sum over entries (a,j) of l of
     C[k, l - e_j^a] * (k_j^a - l_j^a + 1 + l_{j+1}^a)."""
-    return _as_multiindices(k, _c_levels(k, max_order))
+    return _as_multiindices(k, _c_levels(k, max_order), max_order)
 
 
 def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
     """Tables of nonzero D[k,l] for |l| = 0..max_order, by the D route's own
     recursion: D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
     D[k, l - e_j^a] * (k_{j-1}^a - l_{j-1}^a + l_j^a)."""
-    return _as_multiindices(k, _d_levels(k, max_order))
+    return _as_multiindices(k, _d_levels(k, max_order), max_order)
 
 
 def c_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
     """The rows (l, target, C[k,l]) of the C table of k at order r, with
     target = k - l + left_shift(l); only level r is converted."""
-    return _level_terms(k, _c_levels(k, r)[r])
+    return _level_terms(k, _level(_c_levels(k, r), r))
 
 
 def d_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
     """The rows (l, target, D[k,l]) of the D route's table of k at order r,
     with target = k - l + left_shift(l); only level r is converted."""
-    return _level_terms(k, _d_levels(k, r)[r])
+    return _level_terms(k, _level(_d_levels(k, r), r))
 
 
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:

@@ -14,7 +14,9 @@ Text format, bit-exact in both directions::
     entry      := decoration ":" j "=" count        e.g.  "a:-1=2,a:1=1"
 
 Formatting always emits canonical order; parsing accepts entries in any
-order but rejects duplicate ``(decoration, j)`` keys.
+order but rejects duplicate ``(decoration, j)`` keys.  `entries_text` is
+the one formatter: it prints a canonical entry tuple, so callers that hold
+entries print them with no `MultiIndex` built.
 
 One walker, `multiindices_of_degree`, serves the box
 (`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`)
@@ -59,6 +61,7 @@ class MultiIndex:
     def __init__(self, entries: Union[dict, Iterable, None] = ()):
         items = entries.items() if isinstance(entries, dict) else (entries or ())
         merged: dict[tuple[str, int], int] = {}
+        degree = weight = 0
         for (a, j), count in items:
             if count == 0:
                 continue
@@ -68,11 +71,13 @@ class MultiIndex:
                 raise ValueError(f"fertility index {j} is below -1")
             key = (a, j)
             merged[key] = merged.get(key, 0) + count
+            degree += count
+            weight += j * count
         ordered = tuple(sorted(merged.items()))
         self._entries = ordered
         self._map = dict(ordered)
-        self._degree = sum(merged.values())
-        self._weight = sum(j * c for (_, j), c in ordered)
+        self._degree = degree
+        self._weight = weight
         self._hash = hash(ordered)
 
     @classmethod
@@ -82,8 +87,12 @@ class MultiIndex:
         self = object.__new__(cls)
         self._entries = ordered
         self._map = dict(ordered)
-        self._degree = sum(c for _, c in ordered)
-        self._weight = sum(j * c for (_, j), c in ordered)
+        degree = weight = 0
+        for (_, j), c in ordered:
+            degree += c
+            weight += j * c
+        self._degree = degree
+        self._weight = weight
         self._hash = hash(ordered)
         return self
 
@@ -183,9 +192,7 @@ class MultiIndex:
     # -- text format -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._entries:
-            return "0"
-        return ",".join(f"{a}:{j}={c}" for (a, j), c in self._entries)
+        return entries_text(self._entries)
 
     def __repr__(self) -> str:
         return f"MultiIndex({str(self)!r})"
@@ -211,6 +218,14 @@ class MultiIndex:
                 raise ParseError(f"duplicate key {a}:{j}")
             entries[(a, j)] = c
         return cls(entries)
+
+
+def entries_text(entries: tuple) -> str:
+    """The text of a canonical entry tuple ``((decoration, j), count)``, as
+    `MultiIndex.__str__` prints it, with no `MultiIndex` built."""
+    if not entries:
+        return "0"
+    return ",".join([f"{a}:{j}={c}" for (a, j), c in entries])
 
 
 @cache

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
-from fibrecount.lowering import _extension_keys, c_coefficient_tables
-from fibrecount.multiindex import MultiIndex
+from fibrecount.lowering import (_extension_keys, c_coefficient_level,
+                                 c_coefficient_tables)
+from fibrecount.multiindex import MultiIndex, enumerate_multiindices
 from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
 
@@ -81,6 +83,41 @@ def test_lower_json(capsys):
     payload = json.loads(out)
     assert payload == {"k": "a:1=1", "r": 2, "terms": [
         {"l": "a:0=1,a:1=1", "C": 1, "target": "a:-1=1"}]}
+
+
+def _lower_reference(k, r):
+    # The rows of the C level, sorted as multi-indices and printed with str.
+    return sorted(c_coefficient_level(k, r), key=lambda row: row[0].sort_key())
+
+
+def test_lower_prints_the_c_level_rows(capsys):
+    # Every k of degree <= 4 with j <= 3 on a,b, the empty one included, at
+    # each order up to 4 and one past the largest drop sum (j + 1) * k_j.
+    for k in enumerate_multiindices(("a", "b"), 4, 3):
+        top = sum((j + 1) * c for (_, j), c in k.items())
+        for r in sorted({0, 1, 2, 3, 4, top + 1}):
+            rows = _lower_reference(k, r)
+            code, out, _ = run(capsys, "lower", str(k), str(r))
+            assert code == 0
+            assert out == "".join(f"l = {low}, C = {c}, target = {target}\n"
+                                  for low, target, c in rows), (k, r)
+            code, out, _ = run(capsys, "lower", str(k), str(r), "--format", "json")
+            assert code == 0
+            assert json.loads(out) == {"k": str(k), "r": r, "terms": [
+                {"l": str(low), "C": c, "target": str(target)}
+                for low, target, c in rows]}, (k, r)
+
+
+def test_lower_past_the_largest_drop_is_empty_at_once(capsys):
+    # The largest drop of a:0=2 is 2; the C levels stop at the first empty
+    # one, so an order far past it builds nothing.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lower", "a:0=2", "100000000000")
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "lower", "a:0=2", "100000000000", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"k": "a:0=2", "r": 100000000000, "terms": []}
+    assert time.perf_counter() - start < 1
 
 
 def test_transition_text(capsys):

@@ -7,7 +7,7 @@ import pytest
 from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, find_shift,
                                    multiindices_of_degree, unit)
-from fibrecount.lowering import (apply_lowering, c_coefficient,
+from fibrecount.lowering import (_c_levels, _d_levels, apply_lowering, c_coefficient,
                                  c_coefficient_level, c_coefficient_tables,
                                  coefficient_gf, d_coefficient,
                                  d_coefficient_level, d_coefficient_recursive,
@@ -242,6 +242,21 @@ def test_level_rows_edge_cases():
     assert c_coefficient_level(MultiIndex(), 2) == []
     with pytest.raises(ValueError):
         c_coefficient_level(k, -1)
+
+
+def test_levels_stop_at_the_largest_drop():
+    # The largest drop of a:0=2,b:1=1 is 2 + 2 = 4: the levels end at order
+    # 4 whatever order is asked for, and every reader sees later orders empty.
+    k = mi("a:0=2,b:1=1")
+    for levels_fn in (_c_levels, _d_levels):
+        assert len(levels_fn(k, 3_000_000)) == 5
+        assert len(levels_fn(k, 2)) == 3
+    tables = c_coefficient_tables(k, 6)
+    assert len(tables) == 7 and tables[4] and tables[5] == tables[6] == {}
+    assert len(d_coefficient_tables(k, 6)) == 7
+    assert c_coefficient_level(k, 10 ** 11) == d_coefficient_level(k, 10 ** 11) == []
+    assert c_coefficient(k, mi("a:0=3,b:0=1,b:1=1")) == 0
+    assert d_coefficient_recursive(k, mi("a:0=3,b:0=1,b:1=1")) == 0
 
 
 # -- generating function views -------------------------------------------------------

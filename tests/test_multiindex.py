@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibrecount.multiindex import (MultiIndex, PackedLayout, ParseError,
-                                   apply_shift, branch_multisets,
+                                   apply_shift, branch_multisets, entries_text,
                                    enumerate_multiindices, enumerate_profiles,
                                    find_shift, iter_profile_parts, unit)
 from fibrecount.trees import fibres_of_degree
@@ -324,3 +324,23 @@ def test_sub_inverts_add(x, y):
 def test_parse_roundtrip_property(x):
     assert MultiIndex.parse(str(x)) == x
     assert hash(MultiIndex.parse(str(x))) == hash(x)
+
+
+@given(mi_st)
+def test_entries_text_prints_the_multiindex(x):
+    # The one formatter, on the entry tuple alone, against str and the grammar.
+    text = entries_text(x.items())
+    assert text == str(x)
+    assert text == (",".join(f"{a}:{j}={c}" for (a, j), c in sorted(x.items())) or "0")
+    assert MultiIndex.parse(text) == x
+
+
+@given(st.lists(entry_st, max_size=6))
+def test_degree_and_weight_of_both_constructors(entries):
+    # __init__ merges repeated keys; _raw reads a canonical tuple as it is.
+    x = MultiIndex(entries)
+    raw = MultiIndex._raw(x.items())
+    for m in (x, raw):
+        assert m.degree() == sum(c for _, c in entries)
+        assert m.weight() == sum(j * c for (_, j), c in entries)
+    assert raw == x and hash(raw) == hash(x)
