@@ -28,9 +28,8 @@ from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (_h_series_cycles, fill_counts, h_series_product,
                        ordinary_count, ordinary_count_recursive, ordinary_series)
-from .lowering import (_as_lowering, _c_levels, _d_levels, _level, _level_rows,
-                       apply_lowering, c_coefficient_tables, target_steps,
-                       transition_gf, transport_walk, walk_term)
+from .lowering import (_c_levels, _d_levels, _level, _level_rows, apply_lowering,
+                       c_coefficient_tables, transition_gf, transport_walk, walk_term)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
                         coproduct)
 
@@ -177,7 +176,7 @@ def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
     # Every l of one level has degree r, so the entry tuples of l sort as
     # their multi-indices' sort keys do; the rows print with no MultiIndex.
-    rows = sorted(_level_rows(k, _level(_c_levels(k, args.r), args.r)),
+    rows = sorted(_level_rows(*_level(_c_levels(k, args.r), args.r)),
                   key=operator.itemgetter(0))
     if args.format == "json":
         print(json.dumps({"k": str(k), "r": args.r, "terms": [
@@ -389,8 +388,8 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     # Lowering: C tables against iterated lowering, the D route's own levels
     # (same support, D = C * target!) and the transport-array walk of k,
     # stray targets included.  All three meet in the walk's codes: the
-    # target of l has the code code(k) + sum l_key * steps[key], and a
-    # MultiIndex is built only for a mismatch message.
+    # level layout of k reads the target code of any l off its state, and
+    # a MultiIndex is built only for a mismatch message.
     lower_r = 3
     lower_ks = enumerate_multiindices(alph, min(max_n, 4), 3)
 
@@ -398,21 +397,11 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
         bad = []
         tables = c_tables_fn(k, lower_r)
         layout, totals = transport_walk(k, lower_r)
-        steps = target_steps(k, layout)
-        base = layout.code(k)
+        states, d_levels = _d_levels(k, lower_r)
 
         def c_target(low):
-            # None when a target count of l is negative: l has a key off
-            # the extension keys of k, or k_j - l_j + l_{j+1} < 0 at one.
-            # A negative field would borrow a guard bit, but a large count
-            # below it can carry the bit back, so the counts are tested.
-            code = base
-            for (a, j), c in low.items():
-                step = steps.get((a, j))
-                if step is None or k.get(a, j) - c + low.get(a, j + 1) < 0:
-                    return None
-                code += c * step
-            return code
+            state = states.state(low)     # None when a target count of l is negative
+            return None if state is None else states.target_code(state)
         rows = [[(low, c_target(low), c) for low, c in table.items()] for table in tables]
 
         poly = {k: 1}
@@ -434,16 +423,15 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
 
         def walked(code):
             return walk_term(k, layout, code, totals[code])[1] if code in totals else {}
-        d_levels = _d_levels(k, lower_r)
         reached = set()
-        for r in range(0, lower_r + 1):
+        for r, d_level in itertools.zip_longest(range(lower_r + 1), d_levels, fillvalue={}):
             c_codes = {code for _, code, _ in rows[r]}
             d_codes = {}
-            for low, d in _level(d_levels, r).items():
-                code = base + sum(map(operator.mul, low, steps.values()))
+            for state, d in d_level.items():
+                code = states.target_code(state)
                 d_codes[code] = d
                 if code not in c_codes:
-                    bad.append(f"quantity=lowering-D k={k} l={_as_lowering(steps, low)} "
+                    bad.append(f"quantity=lowering-D k={k} l={states.lowering(state)} "
                                f"expected=0 got={d}")
             for low, code, c in rows[r]:
                 if code is None:

@@ -5,10 +5,11 @@ parts; each split contributes the prefactor k! / (forest symmetry * b!)
 times the r-th lowering iterate of x^b on the right leg.  The right leg can
 be expanded three ways that must agree term by term: iterating the lowering
 derivation directly, the C-coefficient expansion, or the D-coefficient
-expansion divided by the target factorial; the two refined forms read
-one level of the C or D table of b as (target, value) rows
-(`lowering._level_targets`: the rows of `c_coefficient_level` and
-`d_coefficient_level` with no `MultiIndex` built for l).  Splits that
+expansion divided by the target factorial; the two refined forms walk
+the C or D levels of b on packed (target, l) states, laid out once per
+leg, hold only the level of the leg's order, and read it as (target,
+value) rows (`lowering._level_targets`: the rows of `c_coefficient_level`
+and `d_coefficient_level` with l not decoded).  Splits that
 share a remainder b share its right leg, which `coproduct` expands once
 per call; b fixes the order, weight(b) + 1, and a forest fixes b, so
 each (forest, monomial) term is one product, with no sum.  The splits
@@ -121,10 +122,10 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, int | Fract
     if form == "raw-dbar":
         return lowering_power(b, r)
     if form == "refined-C":
-        return dict(_level_targets(b, _level(_c_levels(b, r), r)))
+        return dict(_level_targets(*_level(_c_levels(b, r), r)))
     if form == "refined-D":
         return {t: Fraction(d, t.symmetry_factor())
-                for t, d in _level_targets(b, _level(_d_levels(b, r), r))}
+                for t, d in _level_targets(*_level(_d_levels(b, r), r))}
     raise ValueError(f"unknown coproduct form {form!r}")
 
 

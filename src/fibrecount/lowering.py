@@ -6,18 +6,17 @@ splices each target from the monomial's canonical entry tuple.
 Iterating r times from x^k expands as sum over lowering multi-indices l of
 order r of C[k,l] * x^(k - l + left_shift(l)), where the plain coefficients
 C and the factorial-normalized D = C * target! each satisfy their own
-one-step recursion.  Each route keeps per-k level tables on plain tuples
-of counts over the extension keys of k (`_levels`, level r read from
-level r - 1, up to the last nonempty level, which the largest drop
-bounds), builds a `MultiIndex` only at the output, and keeps no memo
-across calls: `c_coefficient` and `d_coefficient_recursive` each read
-their own route's table for k.  One converter, `_level_rows`, turns only
-the level asked for into rows (l, target, value) of canonical entry
-tuples, the target read off the tuple of l with no `apply_shift`.
-`lower` prints those tuples (`multiindex.entries_text`) with no
-`MultiIndex` built; `c_coefficient_level` and `d_coefficient_level` make
-both into multi-indices (`_level_terms`), and the refined coproduct legs,
-which have no use for l, only the target (`_level_targets`).
+one-step recursion.  Each route walks per-k levels of packed states
+(`_levels`, level r from level r - 1, up to the last nonempty level, which
+the largest drop bounds), one int per (target, l) in a `_LevelLayout` of
+k built once per call, where a unit of l is one add and its reachability
+one guard-bit test; no memo is kept across calls.  Every reader decodes
+from that layout, and a reader of one order holds only that level:
+`_level_rows` makes rows (l, target, value) of canonical entry tuples,
+which `lower` prints (`multiindex.entries_text`) with no `MultiIndex` built;
+`c_coefficient_level` and `d_coefficient_level` make both multi-indices
+(`_level_terms`), and the refined coproduct legs only the target
+(`_level_targets`).
 The generating function in an auxiliary variable u factorizes over the
 entries of k, and its (k, b) coefficient is a sum over transport arrays;
 for reachable pairs it collapses to the single monomial
@@ -25,7 +24,8 @@ u^|l| / |l|! * C[k,l].  `transport_walk` walks the transport arrays of k
 once, in integers, for every target, keyed by its code in a packed column
 layout; `coefficient_gf` decodes that walk, and `transition_gf`
 enumerates the arrays of one pair.  The oracle compares the routes in the
-walk's codes (`target_steps` gives the code of the target of any l).
+walk's codes: a state's target sits in the walk's layout
+(`_LevelLayout.target_code`).
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -76,154 +76,190 @@ def lowering_power(k: MultiIndex, r: int) -> Polynomial:
     return poly
 
 
-def _extension_keys(k: MultiIndex) -> list[tuple[str, int]]:
-    # A nonzero C forces l_j^a <= k_j^a + l_{j+1}^a, so the support of l is
-    # confined to 0 <= j <= (largest index of k for that decoration).
-    keys = []
-    for a in k.decorations():
-        top = k.max_index(a)
-        keys.extend((a, j) for j in range(0, top + 1))
-    return keys
+def _column_layout(k: MultiIndex) -> PackedLayout:
+    # The layout of the targets of k: |k| at every column (a, s),
+    # -1 <= s <= max_index(a), where no count of a target passes |k|.
+    top = {a: j for (a, j), _ in k.items()}     # the last j of each a is its largest
+    return PackedLayout(MultiIndex._raw(tuple(
+        ((a, s), k.degree()) for a, j in top.items() for s in range(-1, j + 1))))
 
 
-def _levels(k: MultiIndex, max_order: int, start: int, step) -> list[dict]:
-    """Levels 0..max_order of one route's recursion on dense lowerings:
-    tuples of counts over `_extension_keys(k)`, mapped to nonzero values.
-    The list ends at the last nonempty level, which is at most the largest
-    drop sum (j + 1) * k_j^a, so an order past it costs nothing; `_level`
-    reads any order.
+class _LevelLayout:
+    """The packed states of the level walk of k, one int per (target, l):
+    the counts of l over the extension keys of k in the low bits and, from
+    bit `shift`, the code of the target k - l + left_shift(l) in
+    `_column_layout(k)` (that of `transport_walk`) with its guard bits set.
+    Every field is as wide as one of that layout.  A unit of l at (a, j)
+    adds `units[(a, j)]`: +1 to l at (a, j), -1 to the target at (a, j) and
+    +1 at (a, j - 1).  No count of a reachable l or its target passes |k|,
+    so one unit more never carries out of a field of l, and it keeps l
+    reachable exactly while every guard bit stays set."""
 
-    Level r extends each entry of level r - 1 by one unit at key i and adds
-    prior * step(l, i, t) to the new l, where t = k_i - l_i + l_{up(i)} is
-    the count of the new target at key i and up(i) the key one index
-    higher.  Extending a reachable l can only make that count negative, so
-    t < 0 stands for the whole reachability check.
+    __slots__ = ("k", "columns", "shift", "guard", "start", "offsets", "units",
+                 "low_fields", "target_fields")
+
+    def __init__(self, k: MultiIndex):
+        self.k = k
+        self.columns = columns = _column_layout(k)
+        # A nonzero C forces l_j^a <= k_j^a + l_{j+1}^a, so the support of l,
+        # its extension keys, is confined to 0 <= j <= max_index(a).
+        keys = [key for key in columns.offsets if key[1] >= 0]
+        width = PackedLayout.field_width(k.degree())
+        self.low_fields = [(key, i * width, (1 << width) - 1) for i, key in enumerate(keys)]
+        self.shift = shift = len(keys) * width
+        self.guard = columns.guard << shift
+        self.start = (columns.code(k) << shift) + self.guard
+        offsets = self.offsets = {key: shift + offset
+                                  for key, offset in columns.offsets.items()}
+        count = (1 << width - 1) - 1     # a target field less its guard bit
+        self.target_fields = [(key, offset, count) for key, offset in offsets.items()]
+        self.units = {(a, j): (1 << low) + (1 << offsets[(a, j - 1)]) - (1 << offsets[(a, j)])
+                      for (a, j), low, _ in self.low_fields}
+
+    def state(self, lowering: MultiIndex) -> Optional[int]:
+        """The state of l, or None when a key of l is off the extension keys
+        or a target count k_j - l_j + l_{j+1} is negative: in one sum of many
+        units a field can borrow its guard bit and a lower field carry it back."""
+        k, state = self.k, self.start
+        for (a, j), c in lowering.items():
+            unit = self.units.get((a, j))
+            if unit is None or k.get(a, j) - c + lowering.get(a, j + 1) < 0:
+                return None
+            state += c * unit
+        return state
+
+    def target_code(self, state: int) -> int:
+        """The code of a state's target in `_column_layout(k)`."""
+        return (state >> self.shift) - self.columns.guard
+
+    def lowering(self, state: int) -> MultiIndex:
+        """The l of a state."""
+        return MultiIndex._raw(tuple([(key, c) for key, offset, mask in self.low_fields
+                                      if (c := state >> offset & mask)]))
+
+
+def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
+    """(layout, levels): the `_LevelLayout` of k and an iterator over levels
+    0..max_order of one route's recursion, dicts state -> value, that holds
+    one level at a time and ends at the last nonempty one, which the largest
+    drop sum (j + 1) * k_j^a bounds; `_level` reads any order.
+
+    Level r extends each state of level r - 1 by one unit at each key
+    (a, j) and adds prior * step to the new state, the step being the target
+    count at (a, j - down) after the unit plus `plus`: >= 1, so no value is 0.
     """
     if max_order < 0:
         raise ValueError("order must be >= 0")
-    keys = _extension_keys(k)
-    kv = [k.get(*key) for key in keys]
-    up = [i + 1 if i + 1 < len(keys) and keys[i + 1][0] == a else None
-          for i, (a, _) in enumerate(keys)]
-    levels = [{(0,) * len(keys): start}]
-    for _ in range(max_order):
-        level: dict = {}
-        for base, prior in levels[-1].items():
-            for i, u in enumerate(up):
-                li = base[i] + 1
-                t = kv[i] - li + (0 if u is None else base[u])
-                if t < 0:
-                    continue
-                low = base[:i] + (li,) + base[i + 1:]
-                level[low] = level.get(low, 0) + prior * step(low, i, t)
-        level = {low: v for low, v in level.items() if v}
-        if not level:
-            break     # every later level is empty too
-        levels.append(level)
-    return levels
+    layout = _LevelLayout(k)
+    guard, offsets = layout.guard, layout.offsets
+    mask = (1 << k.degree().bit_length()) - 1     # a target count, less its guard bit
+    extensions = [(unit, offsets[(a, j - down)]) for (a, j), unit in layout.units.items()]
+
+    def walk():
+        level = {layout.start: first}
+        for _ in range(max_order):
+            yield level
+            prev, level = level, {}
+            for base, prior in prev.items():
+                for unit, offset in extensions:
+                    new = base + unit
+                    if new & guard == guard:
+                        value = prior * ((new >> offset & mask) + plus)
+                        if new in level:
+                            level[new] += value
+                        else:
+                            level[new] = value
+            del prev     # a reader of one order holds only that level
+            if not level:
+                return     # every later level is empty too
+        yield level
+    return layout, walk()
 
 
-def _level(levels: list[dict], r: int) -> dict:
-    # Order r of a `_levels` list, which ends at its last nonempty level.
-    return levels[r] if r < len(levels) else {}
+def _level(walk: tuple, r: int) -> tuple[_LevelLayout, dict]:
+    # The layout and level r of one route's (layout, levels), {} past the last.
+    layout, levels = walk
+    return layout, next(itertools.islice(levels, r, None), {})
 
 
-def _c_levels(k: MultiIndex, max_order: int) -> list[dict]:
-    # C[k,0] = 1; the step at (a,j) is k_j^a - l_j^a + 1 + l_{j+1}^a = t + 1.
-    return _levels(k, max_order, 1, lambda low, i, t: t + 1)
+def _c_levels(k: MultiIndex, max_order: int):
+    # C[k,0] = 1; the step at (a,j) is k_j^a - l_j^a + 1 + l_{j+1}^a, the
+    # target count at (a,j) before the unit: the count after it, plus one.
+    return _levels(k, max_order, 1, 0, 1)
 
 
-def _d_levels(k: MultiIndex, max_order: int) -> list[dict]:
-    # D[k,0] = k!; the step at (a,j) is k_{j-1}^a - l_{j-1}^a + l_j^a.
-    keys = _extension_keys(k)
-    kv = [k.get(a, j - 1) for a, j in keys]
-
-    def step(low, i, t):
-        return kv[i] + low[i] - (low[i - 1] if keys[i][1] else 0)
-    return _levels(k, max_order, k.symmetry_factor(), step)
+def _d_levels(k: MultiIndex, max_order: int):
+    # D[k,0] = k!; the step at (a,j) is k_{j-1}^a - l_{j-1}^a + l_j^a, the
+    # target count at (a,j-1) after the unit.
+    return _levels(k, max_order, k.symmetry_factor(), 1, 0)
 
 
-def _as_lowering(keys, low: tuple) -> MultiIndex:
-    # The multi-index of a dense lowering, counts over `keys` in order.
-    return MultiIndex._raw(tuple((key, c) for key, c in zip(keys, low) if c))
-
-
-def _as_multiindices(k: MultiIndex, levels: list[dict],
+def _as_multiindices(layout: _LevelLayout, levels,
                      max_order: int) -> list[dict[MultiIndex, int]]:
-    keys = _extension_keys(k)
-    return [{_as_lowering(keys, low): v for low, v in _level(levels, r).items()}
-            for r in range(max_order + 1)]
+    tables = [{layout.lowering(state): v for state, v in level.items()}
+              for level in levels]
+    return tables + [{} for _ in range(max_order + 1 - len(tables))]
 
 
-def _level_rows(k: MultiIndex, level: dict) -> list[tuple[tuple, tuple, int]]:
-    """The rows (l, target, value) of one dense level of k, in the level's
-    order, with l and the target as canonical entry tuples ((a, j), c): the
-    one converter of dense levels to rows.  The target k - l + left_shift(l)
-    is read off the tuple of l: target_j^a = k_j^a - l_j^a + l_{j+1}^a for
-    j = -1..max_index(a), where l has no entry at j = -1."""
-    keys = _extension_keys(k)
-    index = {key: i for i, key in enumerate(keys)}
-    pad = len(keys)     # the index of a zero appended to each tuple
-    spec = [((a, j), k.get(a, j), index.get((a, j), pad), index.get((a, j + 1), pad))
-            for a in k.decorations() for j in range(-1, k.max_index(a) + 1)]
-    rows = []
-    for low, v in level.items():
-        ext = low + (0,)
-        rows.append((tuple([(key, c) for key, c in zip(keys, low) if c]),
-                     tuple([(key, c) for key, kc, own, up in spec
-                            if (c := kc - ext[own] + ext[up])]),
-                     v))
-    return rows
+def _level_rows(layout: _LevelLayout, level: dict) -> list[tuple[tuple, tuple, int]]:
+    """The rows (l, target, value) of one level, in the level's order, with
+    l and the target as canonical entry tuples ((a, j), c) read straight
+    off the fields of each state: the one converter of levels to rows."""
+    low_fields, target_fields = layout.low_fields, layout.target_fields
+    return [(tuple([(key, c) for key, offset, mask in low_fields
+                    if (c := state >> offset & mask)]),
+             tuple([(key, c) for key, offset, mask in target_fields
+                    if (c := state >> offset & mask)]),
+             v) for state, v in level.items()]
 
 
-def _level_targets(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, int]]:
-    """The rows (target, value) of one dense level of k (`_level_rows`),
-    with no `MultiIndex` built for l."""
-    return [(MultiIndex._raw(target), v) for _, target, v in _level_rows(k, level)]
+def _level_targets(layout: _LevelLayout, level: dict) -> list[tuple[MultiIndex, int]]:
+    """The rows (target, value) of one level, with l not decoded."""
+    target_fields = layout.target_fields
+    return [(MultiIndex._raw(tuple([(key, c) for key, offset, mask in target_fields
+                                    if (c := state >> offset & mask)])), v)
+            for state, v in level.items()]
 
 
-def _level_terms(k: MultiIndex, level: dict) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """The rows (l, target, value) of one dense level of k (`_level_rows`)."""
+def _level_terms(layout: _LevelLayout, level: dict
+                 ) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """The rows (l, target, value) of one level (`_level_rows`)."""
     return [(MultiIndex._raw(low), MultiIndex._raw(target), v)
-            for low, target, v in _level_rows(k, level)]
+            for low, target, v in _level_rows(layout, level)]
 
 
 def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:
     # The level |l| of one route's table for k, read at l; 0 off the support.
     if not lowering.is_lowering():
         raise ValueError("not a lowering multi-index")
-    keys = _extension_keys(k)
-    if any(key not in keys for key, _ in lowering.items()):
-        return 0
-    low = tuple(lowering.get(*key) for key in keys)
-    r = lowering.degree()
-    return _level(levels_fn(k, r), r).get(low, 0)
+    layout, level = _level(levels_fn(k, lowering.degree()), lowering.degree())
+    return level.get(layout.state(lowering), 0)     # no state is None
 
 
 def c_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
     """Tables of nonzero C[k,l] for |l| = 0..max_order, by the one-step
     recursion C[k,l] = sum over entries (a,j) of l of
     C[k, l - e_j^a] * (k_j^a - l_j^a + 1 + l_{j+1}^a)."""
-    return _as_multiindices(k, _c_levels(k, max_order), max_order)
+    return _as_multiindices(*_c_levels(k, max_order), max_order)
 
 
 def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex, int]]:
     """Tables of nonzero D[k,l] for |l| = 0..max_order, by the D route's own
     recursion: D[k,0] = k!, and D[k,l] = sum over entries (a,j) of l of
     D[k, l - e_j^a] * (k_{j-1}^a - l_{j-1}^a + l_j^a)."""
-    return _as_multiindices(k, _d_levels(k, max_order), max_order)
+    return _as_multiindices(*_d_levels(k, max_order), max_order)
 
 
 def c_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
     """The rows (l, target, C[k,l]) of the C table of k at order r, with
     target = k - l + left_shift(l); only level r is converted."""
-    return _level_terms(k, _level(_c_levels(k, r), r))
+    return _level_terms(*_level(_c_levels(k, r), r))
 
 
 def d_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
     """The rows (l, target, D[k,l]) of the D route's table of k at order r,
     with target = k - l + left_shift(l); only level r is converted."""
-    return _level_terms(k, _level(_d_levels(k, r), r))
+    return _level_terms(*_level(_d_levels(k, r), r))
 
 
 def c_coefficient(k: MultiIndex, lowering: MultiIndex) -> int:
@@ -301,10 +337,9 @@ def transport_walk(k: MultiIndex, max_order: Optional[int] = None
     """
     if max_order is not None and max_order < 0:
         raise ValueError("order must be >= 0")
-    # The column counts are a code in the layout of the column box, where no
-    # count passes |k|; row (a, j) has a cell, a unit code, per column s <= j.
-    columns = [(a, s) for a in k.decorations() for s in range(-1, k.max_index(a) + 1)]
-    layout = PackedLayout(MultiIndex._raw(tuple((key, k.degree()) for key in columns)))
+    # The column counts are a code in the layout of the targets of k; row
+    # (a, j) has a cell, a unit code, per column s <= j.
+    layout = _column_layout(k)
     rows = [([1 << layout.offsets[(a, s)] for s in range(-1, j + 1)], j, c)
             for (a, j), c in k.items()]
     kfact = k.symmetry_factor()
@@ -333,17 +368,6 @@ def transport_walk(k: MultiIndex, max_order: Optional[int] = None
             stack.append((i, s + 1, left - n, drop + gap * n,
                           denom * math.factorial(n) * step ** n, cols + n * cell))
     return layout, totals
-
-
-def target_steps(k: MultiIndex, layout: PackedLayout) -> dict[tuple[str, int], int]:
-    """For each extension key (a, j) of k, in `_extension_keys` order, the
-    change of a target's code in the layout of `transport_walk(k)` per unit
-    of l at (a, j), which moves one count from (a, j) down to (a, j - 1):
-    the target k - l + left_shift(l) of a reachable l has the code
-    layout.code(k) + sum over the keys of l_key * steps[key]."""
-    offsets = layout.offsets
-    return {(a, j): (1 << offsets[(a, j - 1)]) - (1 << offsets[(a, j)])
-            for a, j in _extension_keys(k)}
 
 
 def transport_arrays(k: MultiIndex, b: MultiIndex) -> list[dict]:

@@ -10,8 +10,7 @@ import pytest
 
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
-from fibrecount.lowering import (_extension_keys, c_coefficient_level,
-                                 c_coefficient_tables)
+from fibrecount.lowering import c_coefficient_level, c_coefficient_tables
 from fibrecount.multiindex import MultiIndex, enumerate_multiindices
 from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
@@ -188,6 +187,12 @@ GOLDEN = [
      "f661ddcce9cacd10e011a2db767522c664a94fcc898274e5eefe8498c5fef40e"),
     (("lower", "a:4=1,a:2=2,a:0=1,b:3=1,b:1=2,b:-1=1", "12", "--format", "json"),
      "7f3a3a9791f268855b515f75e840bf49f44bbe99292b361cc101bb5dfb433677"),
+    # Recorded before the level walk moved onto packed (target, l) states:
+    # |k| = 2^8 - 1 fills the count bits of a field and 2^8 widens it.
+    (("lower", "a:0=255", "2"),
+     "6355c47acc848c3c31fe84dc1a2d5b613fa1871b8750af6b7906524be2a80250"),
+    (("lower", "a:0=256", "2"),
+     "dcf702d0cca4932b0b22fe20760296901f26ba36ccf3aa4e9c88696d7d54dc08"),
 ] + [
     (("coproduct", GOLDEN_K, form, "--decomposition", mode), digest)
     for form in ("raw-dbar", "refined-C", "refined-D")
@@ -319,17 +324,19 @@ def test_oracle_detects_wrong_series(capsys, monkeypatch, name, label, expected)
     ("a:0=1,a:1=1", 1),    # an entry of the support
     ("a:0=2", 0)])         # an entry off the C table's support
 def test_oracle_detects_wrong_d_table(capsys, monkeypatch, low, expected):
-    # The D route's levels off by one at one order-2 entry fail the oracle
-    # as lowering-D.
+    # The D route's levels off by one at one order-2 state fail the oracle
+    # as lowering-D.  The state is the sum of l's units on the start; off
+    # the support, the target count at a:0 is -2 and its field borrows.
     levels = cli._d_levels
     k, low = MultiIndex.parse("a:1=1"), MultiIndex.parse(low)
-    dense = tuple(low.get(*key) for key in _extension_keys(k))
 
     def wrong(kk, max_order):
-        out = levels(kk, max_order)
+        layout, out = levels(kk, max_order)
+        out = list(out)
         if kk == k:
-            out[2][dense] = out[2].get(dense, 0) + 1
-        return out
+            state = layout.start + sum(c * layout.units[key] for key, c in low.items())
+            out[2][state] = out[2].get(state, 0) + 1
+        return layout, iter(out)
     monkeypatch.setattr(cli, "_d_levels", wrong)
     code, out, _ = run(capsys, "oracle", "--max-n", "3", "--alphabet", "a")
     assert code == 1

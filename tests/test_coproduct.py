@@ -7,7 +7,6 @@ import pytest
 
 from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits,
                                   coproduct, coproduct_raw, forest_symmetry)
-from fibrecount.lowering import _extension_keys
 from fibrecount.multiindex import (MultiIndex, PackedLayout, branch_multisets,
                                    enumerate_profiles, iter_profile_parts,
                                    multiindices_of_degree)
@@ -56,7 +55,7 @@ def test_refined_d_lowerings_are_every_vector_of_the_order():
     # lowerings from this walk.
     for text in ("a:-1=1", "a:-1=2,a:1=1", "a:-1=3,a:0=1,a:2=1", "a:-1=2,a:0=1,b:1=1"):
         b = mi(text)
-        keys = _extension_keys(b)
+        keys = [(a, j) for a in b.decorations() for j in range(b.max_index(a) + 1)]
         for r in range(4):
             got = multiindices_of_degree(keys, r)
             scan = {MultiIndex(zip(keys, counts))

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, find_shift,
@@ -222,6 +223,35 @@ def test_level_rows_read_targets_off_the_tuple():
                     assert target == MultiIndex(target.items())
 
 
+KEYS = [(a, j) for a in "abc" for j in range(-1, 5)]
+
+
+@st.composite
+def boundary_monomials(draw):
+    # |k| = 2^m - 1 or 2^m: the degrees at which the fields of the packed
+    # level states, |k|.bit_length() + 1 bits wide, fill up or widen.
+    degree = 2 ** draw(st.integers(0, 5)) - draw(st.integers(0, 1))
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=5, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=len(keys) - 1,
+                                max_size=len(keys) - 1)))
+    return MultiIndex(zip(keys, (b - a for a, b in zip([0] + cuts, cuts + [degree]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_monomials(), st.integers(0, 5))
+def test_level_rows_at_field_width_boundaries(k, r):
+    # The C rows are the iterated lowering, target by target, with each
+    # target the shift of its l; the D rows are C * target!; no value is 0.
+    c_rows, d_rows = c_coefficient_level(k, r), d_coefficient_level(k, r)
+    c_table = {low: c for low, _, c in c_rows}
+    assert len(c_table) == len(c_rows) == len(d_rows)
+    assert {target: c for _, target, c in c_rows} == lowering_power(k, r)
+    assert set(c_rows) == _shifted_rows(k, c_table)
+    assert set(d_rows) == _shifted_rows(k, {low: c * apply_shift(k, low).symmetry_factor()
+                                            for low, c in c_table.items()})
+    assert all(v >= 1 for _, _, v in c_rows + d_rows)
+
+
 def test_level_rows_edge_cases():
     k = mi("a:1=1,a:0=2,b:-1=1")
     # order 0: the one row (0, k, C = 1 or D = k!)
@@ -249,8 +279,8 @@ def test_levels_stop_at_the_largest_drop():
     # 4 whatever order is asked for, and every reader sees later orders empty.
     k = mi("a:0=2,b:1=1")
     for levels_fn in (_c_levels, _d_levels):
-        assert len(levels_fn(k, 3_000_000)) == 5
-        assert len(levels_fn(k, 2)) == 3
+        assert len(list(levels_fn(k, 3_000_000)[1])) == 5
+        assert len(list(levels_fn(k, 2)[1])) == 3
     tables = c_coefficient_tables(k, 6)
     assert len(tables) == 7 and tables[4] and tables[5] == tables[6] == {}
     assert len(d_coefficient_tables(k, 6)) == 7
