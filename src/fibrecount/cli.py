@@ -1,10 +1,11 @@
 """fibrecount command line: exact counts, series, shift coefficients, coproduct.
 
 Exit codes: 0 success, 1 oracle mismatch, 2 parse error, 3 domain error,
-4 cap exceeded, 5 internal error.  All output is deterministic: reports are
-sorted by canonical keys, so repeated runs are byte-identical.  The oracle
-accepts ``--jobs`` (an integer >= 1) and echoes it in its JSON report, but
-always runs sequentially.
+4 cap exceeded, 5 internal error, 141 (128 + SIGPIPE) stdout closed by its
+reader.  All output is deterministic: reports are sorted by canonical keys,
+so repeated runs are byte-identical; `lower` and `coproduct` write each row
+as it is made.  The oracle accepts ``--jobs`` (an integer >= 1) and echoes
+it in its JSON report, but always runs sequentially.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import contextlib
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +31,7 @@ from .ordinary import (_h_series_cycles, fill_counts, h_series_product,
 from .lowering import (_c_levels, _d_levels, _level, _level_rows, apply_lowering,
                        c_coefficient_tables, transition_gf, transport_walk, walk_term)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
-                        coproduct)
+                        coproduct, coproduct_stream)
 
 SERIES_DEGREE_CAP = 12
 ORACLE_N_CAP = 8
@@ -73,18 +73,6 @@ def _upoly_str(upoly: dict) -> str:
     return " + ".join(bits)
 
 
-def _forest_str(forest) -> str:
-    if not forest:
-        return "1"
-    bits = []
-    for part, mult in forest:
-        piece = f"[{part}]"
-        if mult > 1:
-            piece += f"^{mult}"
-        bits.append(piece)
-    return " * ".join(bits)
-
-
 def _poly_str(poly: dict) -> str:
     if not poly:
         return "0"
@@ -117,6 +105,22 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
     if len(seen) > ALPHABET_CAP:
         raise CapExceeded(f"alphabet exceeds {ALPHABET_CAP} decorations")
     return tuple(sorted(seen))
+
+
+def _write_rows(fmt: str, envelope: dict, rows: Iterable[tuple],
+                line: Callable, record: Callable) -> int:
+    """Write each row as soon as it is made: `line(*row)` in text, and in
+    JSON the envelope with `record(*row)` for each row in its "terms" list,
+    byte for byte what one `json.dumps` of the whole envelope writes."""
+    out = sys.stdout
+    if fmt == "text":
+        out.writelines(itertools.starmap(line, rows))
+    else:
+        records = (json.dumps(record(*row)) for row in rows)
+        out.write(json.dumps({**envelope, "terms": []})[:-2] + next(records, ""))
+        out.writelines(", " + text for text in records)
+        out.write("]}\n")
+    return 0
 
 
 # -- subcommands --------------------------------------------------------------
@@ -174,18 +178,13 @@ def cmd_series(args) -> int:
 
 def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
-    # Every l of one level has degree r, so the entry tuples of l sort as
-    # their multi-indices' sort keys do; the rows print with no MultiIndex.
-    rows = sorted(_level_rows(*_level(_c_levels(k, args.r), args.r)),
-                  key=operator.itemgetter(0))
-    if args.format == "json":
-        print(json.dumps({"k": str(k), "r": args.r, "terms": [
-            {"l": entries_text(low), "C": c, "target": entries_text(target)}
-            for low, target, c in rows]}))
-    else:
-        for low, target, c in rows:
-            print(f"l = {entries_text(low)}, C = {c}, target = {entries_text(target)}")
-    return 0
+    return _write_rows(
+        args.format, {"k": str(k), "r": args.r},
+        _level_rows(*_level(_c_levels(k, args.r), args.r)),
+        lambda low, target, c:
+            f"l = {entries_text(low)}, C = {c}, target = {entries_text(target)}\n",
+        lambda low, target, c:
+            {"l": entries_text(low), "C": c, "target": entries_text(target)})
 
 
 def cmd_transition(args) -> int:
@@ -205,40 +204,28 @@ def cmd_transition(args) -> int:
 
 def cmd_coproduct(args) -> int:
     k = MultiIndex.parse(args.k)
-    expansion = coproduct(k, args.form, args.decomposition, args.forest_sigma)
-    # Terms sort by (forest, right monomial); forests and right monomials
-    # are each shared by many terms, so each forest's key and text, and each
-    # monomial's text, are built once.  Every coefficient is a Fraction,
-    # which prints as it is.
-    groups: dict = {}
-    texts: dict = {}
-    for (forest, mono), c in expansion.items():
-        groups.setdefault(forest, []).append((mono, c))
-        if mono not in texts:
-            texts[mono] = str(mono)
-    ordered = sorted(groups.items(),
-                     key=lambda kv: tuple(p.sort_key() + (m,) for p, m in kv[0]))
-    for _, terms in ordered:
-        terms.sort(key=lambda term: term[0].sort_key())
-    if args.format == "json":
-        rows = []
-        for forest, terms in ordered:
-            parts = [{"k": str(p), "mult": m} for p, m in forest]
-            rows.extend({"forest": parts, "right": texts[mono],
-                         "num": c.numerator, "den": c.denominator}
-                        for mono, c in terms)
-        print(json.dumps({
-            "k": str(k), "form": args.form,
-            "decomposition": args.decomposition,
-            "forest_sigma": args.forest_sigma,
-            "terms": rows}))
-    else:
-        lines = []
-        for forest, terms in ordered:
-            left = _forest_str(forest)
-            lines.extend(f"{left} (x) {texts[mono]} : {c}" for mono, c in terms)
-        print("\n".join(lines))
-    return 0
+    stream = coproduct_stream(k, args.form, args.decomposition, args.forest_sigma)
+    texts: dict = {}     # each part's text, made once per call
+
+    def rows():
+        for forest, num, den, leg in stream:
+            for part, _ in forest:
+                if part not in texts:
+                    texts[part] = str(part)
+            left = " * ".join(f"[{texts[p]}]^{m}" if m > 1 else f"[{texts[p]}]"
+                              for p, m in forest) or "1"
+            for _, right, n, d in leg:
+                g = math.gcd(n * num, d * den)
+                yield forest, left, right, n * num // g, d * den // g
+    return _write_rows(
+        args.format, {"k": str(k), "form": args.form, "decomposition": args.decomposition,
+                      "forest_sigma": args.forest_sigma},
+        rows(),
+        lambda forest, left, right, n, d:
+            f"{left} (x) {right} : {n}\n" if d == 1 else f"{left} (x) {right} : {n}/{d}\n",
+        lambda forest, left, right, n, d:
+            {"forest": [{"k": texts[p], "mult": m} for p, m in forest],
+             "right": right, "num": n, "den": d})
 
 
 # -- oracle runner -------------------------------------------------------------
@@ -580,7 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone: end as SIGPIPE would, silently, with
+        # stdout on the null device, so the flush at exit does not fail again.
+        with contextlib.suppress(OSError, ValueError):     # no file under stdout
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

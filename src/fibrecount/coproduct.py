@@ -5,17 +5,14 @@ parts; each split contributes the prefactor k! / (forest symmetry * b!)
 times the r-th lowering iterate of x^b on the right leg.  The right leg can
 be expanded three ways that must agree term by term: iterating the lowering
 derivation directly, the C-coefficient expansion, or the D-coefficient
-expansion divided by the target factorial; the two refined forms walk
-the C or D levels of b on packed (target, l) states, laid out once per
-leg, hold only the level of the leg's order, and read it as (target,
-value) rows (`lowering._level_targets`: the rows of `c_coefficient_level`
-and `d_coefficient_level` with l not decoded).  Splits that
-share a remainder b share its right leg, which `coproduct` expands once
-per call; b fixes the order, weight(b) + 1, and a forest fixes b, so
-each (forest, monomial) term is one product, with no sum.  The splits
-are walked on codes in the one packed layout (`multiindex.PackedLayout`)
-of the box of k, so testing and removing a part costs one subtraction
-and one mask test.
+expansion divided by the target factorial; the two refined forms read the
+targets of level r of the C or D walk of b (`lowering._level_targets`).
+The splits are walked on codes in the packed layout of the box of k
+(`multiindex.PackedLayout`), one subtraction and one mask test per part,
+and come out in print order, so `coproduct_stream` yields the expansion
+one forest at a time.  b fixes the order, weight(b) + 1, and a forest
+fixes b, so each (forest, monomial) term is one product, and the splits
+that share b share its leg, expanded, sorted and formatted once per call.
 """
 
 from __future__ import annotations
@@ -65,9 +62,12 @@ def _forest_splits(k: MultiIndex) -> Iterator[tuple[Forest, MultiIndex]]:
     """All multisets of weight -1 parts fitting componentwise inside k,
     with the leftover remainder; includes the empty forest.
 
-    The walk runs on codes in k's packed layout (`PackedLayout`), so a
-    part's inclusion in what is left, with the subtraction it guards, is
-    one subtraction and one mask test; one remainder is decoded per split.
+    The parts are tried in sort order, each one's multiplicities upward and
+    a forest before its extensions, so the forests come sorted by their
+    (part sort key, multiplicity) tuples: the print order.  The walk runs on
+    codes in k's packed layout (`PackedLayout`), so a part's inclusion in
+    what is left, with the subtraction it guards, is one subtraction and one
+    mask test; one remainder is decoded per split.
     """
     cands = iter_profile_parts(k)
     layout = PackedLayout(k)
@@ -93,29 +93,36 @@ def _forest_splits(k: MultiIndex) -> Iterator[tuple[Forest, MultiIndex]]:
     yield from rec(0, guard + layout.code(k))
 
 
-def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
-                  forest_sigma: str = "mult-times-sigma") -> list[RawTerm]:
-    """Forest splits with their prefactors, before right-leg expansion."""
+def _splits(k: MultiIndex, decomposition: str, forest_sigma: str):
+    """The forest splits of k in print order, as (forest, remainder, order,
+    num, den) with the prefactor num / den in lowest terms.  The arguments
+    are checked here, before the first split is made."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
     if decomposition not in DECOMPOSITION_MODES:
         raise ValueError(f"unknown decomposition mode {decomposition!r}")
+    forest_symmetry((), forest_sigma)
     k_fact = k.symmetry_factor()
-    out = []
-    for forest, remainder in _forest_splits(k):
-        order = sum(mult for _, mult in forest)
-        pre = Fraction(k_fact, forest_symmetry(forest, forest_sigma)
-                       * remainder.symmetry_factor())
-        if decomposition == "ordered":
-            scale = math.factorial(order)
-            for _, mult in forest:
-                scale //= math.factorial(mult)
-            pre *= scale
-        out.append(RawTerm(forest=forest, remainder=remainder,
-                           order=order, prefactor=pre))
-    out.sort(key=lambda t: (tuple(p.sort_key() + (m,) for p, m in t.forest),
-                            t.remainder.sort_key()))
-    return out
+
+    def walk():
+        for forest, remainder in _forest_splits(k):
+            order = sum(mult for _, mult in forest)
+            num = k_fact
+            if decomposition == "ordered":     # times the orderings of the parts
+                num = num * math.factorial(order) // math.prod(
+                    math.factorial(mult) for _, mult in forest)
+            den = forest_symmetry(forest, forest_sigma) * remainder.symmetry_factor()
+            g = math.gcd(num, den)
+            yield forest, remainder, order, num // g, den // g
+    return walk()
+
+
+def coproduct_raw(k: MultiIndex, decomposition: str = "multiset",
+                  forest_sigma: str = "mult-times-sigma") -> list[RawTerm]:
+    """Forest splits with their prefactors, before right-leg expansion,
+    in print order."""
+    return [RawTerm(forest, remainder, order, Fraction(num, den))
+            for forest, remainder, order, num, den in _splits(k, decomposition, forest_sigma)]
 
 
 def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, int | Fraction]:
@@ -129,27 +136,43 @@ def _right_leg(b: MultiIndex, r: int, form: str) -> dict[MultiIndex, int | Fract
     raise ValueError(f"unknown coproduct form {form!r}")
 
 
+def coproduct_stream(k: MultiIndex, form: str = "raw-dbar",
+                     decomposition: str = "multiset",
+                     forest_sigma: str = "mult-times-sigma"):
+    """The tensor expansion one forest at a time, in print order: per split,
+    (forest, num, den, leg) with the prefactor num / den in lowest terms and
+    the remainder's right leg as rows (monomial, text, num, den) sorted by
+    monomial; a term's coefficient is the product of the two ratios.  The
+    arguments are checked before the first split is made."""
+    if form not in FORMS:
+        raise ValueError(f"unknown coproduct form {form!r}")
+    splits = _splits(k, decomposition, forest_sigma)
+    legs: dict[MultiIndex, list] = {}
+
+    def walk():
+        for forest, remainder, order, num, den in splits:
+            leg = legs.get(remainder)
+            if leg is None:
+                terms = sorted(_right_leg(remainder, order, form).items(),
+                               key=lambda term: term[0].sort_key())
+                leg = legs[remainder] = [(mono, str(mono), c.numerator, c.denominator)
+                                         for mono, c in terms]
+            yield forest, num, den, leg
+    return walk()
+
+
 def coproduct(k: MultiIndex, form: str = "raw-dbar",
               decomposition: str = "multiset",
               forest_sigma: str = "mult-times-sigma",
               ) -> dict[tuple[Forest, MultiIndex], Fraction]:
-    """Full tensor expansion: (forest, right monomial) -> coefficient.
+    """Full tensor expansion: (forest, right monomial) -> coefficient, read
+    off `coproduct_stream`.
 
     The three forms expand the right leg by different routes and must
-    produce identical results.  Each distinct remainder b is expanded once
-    per call; it fixes the order, weight(b) + 1.  A forest fixes its
-    remainder, so each key receives one term, and no coefficient is 0.
-    Every coefficient is a Fraction, as every prefactor is.
+    produce identical results.  A forest fixes its remainder, so each key
+    receives one term, and no coefficient is 0.  Every coefficient is a
+    Fraction.
     """
-    if form not in FORMS:
-        raise ValueError(f"unknown coproduct form {form!r}")
-    out: dict[tuple[Forest, MultiIndex], Fraction] = {}
-    legs: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
-    for term in coproduct_raw(k, decomposition, forest_sigma):
-        leg = legs.get(term.remainder)
-        if leg is None:
-            leg = legs[term.remainder] = _right_leg(term.remainder, term.order, form)
-        forest, pre = term.forest, term.prefactor
-        for mono, coeff in leg.items():
-            out[(forest, mono)] = pre * coeff
-    return out
+    return {(forest, mono): Fraction(num * n, den * d)
+            for forest, num, den, leg in coproduct_stream(k, form, decomposition, forest_sigma)
+            for mono, _, n, d in leg}

@@ -12,8 +12,9 @@ the largest drop bounds), one int per (target, l) in a `_LevelLayout` of
 k built once per call, where a unit of l is one add and its reachability
 one guard-bit test; no memo is kept across calls.  Every reader decodes
 from that layout, and a reader of one order holds only that level:
-`_level_rows` makes rows (l, target, value) of canonical entry tuples,
-which `lower` prints (`multiindex.entries_text`) with no `MultiIndex` built;
+`_level_rows` makes rows (l, target, value) of canonical entry tuples one
+at a time, sorted by l on one int key per state, which `lower` prints
+(`multiindex.entries_text`) as they come, with no `MultiIndex` built;
 `c_coefficient_level` and `d_coefficient_level` make both multi-indices
 (`_level_terms`), and the refined coproduct legs only the target
 (`_level_targets`).
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .multiindex import MultiIndex, PackedLayout, apply_shift
 
@@ -103,10 +104,13 @@ class _LevelLayout:
         self.columns = columns = _column_layout(k)
         # A nonzero C forces l_j^a <= k_j^a + l_{j+1}^a, so the support of l,
         # its extension keys, is confined to 0 <= j <= max_index(a).
+        # The first key takes the top field of l, so that an int key sorts the
+        # states of one level as their l entry tuples (`_level_rows`).
         keys = [key for key in columns.offsets if key[1] >= 0]
         width = PackedLayout.field_width(k.degree())
-        self.low_fields = [(key, i * width, (1 << width) - 1) for i, key in enumerate(keys)]
         self.shift = shift = len(keys) * width
+        self.low_fields = [(key, shift - (i + 1) * width, (1 << width) - 1)
+                           for i, key in enumerate(keys)]
         self.guard = columns.guard << shift
         self.start = (columns.code(k) << shift) + self.guard
         offsets = self.offsets = {key: shift + offset
@@ -201,16 +205,27 @@ def _as_multiindices(layout: _LevelLayout, levels,
     return tables + [{} for _ in range(max_order + 1 - len(tables))]
 
 
-def _level_rows(layout: _LevelLayout, level: dict) -> list[tuple[tuple, tuple, int]]:
-    """The rows (l, target, value) of one level, in the level's order, with
-    l and the target as canonical entry tuples ((a, j), c) read straight
-    off the fields of each state: the one converter of levels to rows."""
+def _level_rows(layout: _LevelLayout, level: dict) -> Iterator[tuple[tuple, tuple, int]]:
+    """The rows (l, target, value) of one level, made one at a time in the
+    order of their l entry tuples, with l and the target as canonical entry
+    tuples ((a, j), c) read straight off the fields of each state: the one
+    converter of levels to rows.
+
+    Every l of a level has one degree, so field by field in key order a
+    nonzero count sorts before a zero and a smaller count first.  The sort
+    key maps each field of l, the first key's on top, c to c - 1 and 0 to
+    all ones, with no borrow across fields, as no count of l sets its top bit.
+    """
     low_fields, target_fields = layout.low_fields, layout.target_fields
-    return [(tuple([(key, c) for key, offset, mask in low_fields
-                    if (c := state >> offset & mask)]),
-             tuple([(key, c) for key, offset, mask in target_fields
-                    if (c := state >> offset & mask)]),
-             v) for state, v in level.items()]
+    ones = sum(1 << offset for _, offset, _ in low_fields)
+    tops = ones << PackedLayout.field_width(layout.k.degree()) - 1
+    low = (1 << layout.shift) - 1
+    for state in sorted(level, key=lambda state: ((state & low | tops) - ones) ^ tops):
+        yield (tuple([(key, c) for key, offset, mask in low_fields
+                      if (c := state >> offset & mask)]),
+               tuple([(key, c) for key, offset, mask in target_fields
+                      if (c := state >> offset & mask)]),
+               level[state])
 
 
 def _level_targets(layout: _LevelLayout, level: dict) -> list[tuple[MultiIndex, int]]:
@@ -251,14 +266,14 @@ def d_coefficient_tables(k: MultiIndex, max_order: int) -> list[dict[MultiIndex,
 
 
 def c_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """The rows (l, target, C[k,l]) of the C table of k at order r, with
-    target = k - l + left_shift(l); only level r is converted."""
+    """The rows (l, target, C[k,l]) of the C table of k at order r, sorted
+    by l, with target = k - l + left_shift(l); only level r is converted."""
     return _level_terms(*_level(_c_levels(k, r), r))
 
 
 def d_coefficient_level(k: MultiIndex, r: int) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """The rows (l, target, D[k,l]) of the D route's table of k at order r,
-    with target = k - l + left_shift(l); only level r is converted."""
+    """The rows (l, target, D[k,l]) of the D table of k at order r, sorted
+    by l, with target = k - l + left_shift(l); only level r is converted."""
     return _level_terms(*_level(_d_levels(k, r), r))
 
 

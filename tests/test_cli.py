@@ -1,17 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fibrecount import cli
 from fibrecount.cli import main, run_oracle
+from fibrecount.coproduct import DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS
 from fibrecount.lowering import c_coefficient_level, c_coefficient_tables
-from fibrecount.multiindex import MultiIndex, enumerate_multiindices
+from fibrecount.multiindex import MultiIndex, enumerate_multiindices, enumerate_profiles
 from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
 
@@ -119,6 +125,61 @@ def test_lower_past_the_largest_drop_is_empty_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
+def _stdout(*argv):
+    # One in-process run, for Hypothesis, which takes no function-scoped
+    # fixture such as capsys.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+LOWER_KEYS = [(a, j) for a in "ab" for j in range(-1, 4)]
+
+
+@st.composite
+def small_monomials(draw):
+    counts = draw(st.lists(st.integers(0, 2), min_size=len(LOWER_KEYS),
+                           max_size=len(LOWER_KEYS)))
+    return MultiIndex(zip(LOWER_KEYS, counts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_monomials(), st.integers(0, 6))
+@example(MultiIndex.parse("a:1=2"), 2)
+def test_lower_json_rows_are_the_text_lines_in_l_order(k, r):
+    # The rows come in the order of their l entry tuples, where a key with a
+    # nonzero count sorts before the same key at zero: in `lower a:1=2 2`,
+    # l = a:0=1,a:1=1 comes before l = a:1=2.
+    text = _stdout("lower", str(k), str(r))
+    terms = json.loads(_stdout("lower", str(k), str(r), "--format", "json"))["terms"]
+    assert [f"l = {t['l']}, C = {t['C']}, target = {t['target']}" for t in terms] \
+        == text.splitlines()
+    lows = [MultiIndex.parse(t["l"]).items() for t in terms]
+    assert all(a < b for a, b in zip(lows, lows[1:])), (k, r)
+
+
+CO_PROFILES = enumerate_profiles(("a", "b"), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CO_PROFILES), st.sampled_from(FORMS),
+       st.sampled_from(DECOMPOSITION_MODES), st.sampled_from(FOREST_SIGMA_MODES))
+def test_coproduct_json_rows_are_the_text_lines(k, form, mode, sigma):
+    argv = ("coproduct", str(k), form, "--decomposition", mode, "--forest-sigma", sigma)
+    text = _stdout(*argv)
+    payload = json.loads(_stdout(*argv, "--format", "json"))
+    assert payload["k"] == str(k) and payload["form"] == form
+    lines = []
+    for t in payload["terms"]:
+        left = " * ".join(f"[{p['k']}]" + (f"^{p['mult']}" if p["mult"] > 1 else "")
+                          for p in t["forest"]) or "1"
+        value = str(Fraction(t["num"], t["den"]))
+        assert value == (f"{t['num']}" if t["den"] == 1 else f"{t['num']}/{t['den']}")
+        lines.append(f"{left} (x) {t['right']} : {value}")
+    assert lines == text.splitlines()
+
+
 def test_transition_text(capsys):
     code, out, _ = run(capsys, "transition", "a:1=1", "a:-1=1")
     assert code == 0
@@ -208,6 +269,22 @@ GOLDEN = [
         ("refined-C", "ordered", "84183905cd103a2f1a239f6ec51e4ca4767cc0a63f1417612a957c96b5fd9616"),
         ("refined-D", "multiset", "c2033db75e6b06c12c3463fcc52e7f65216413ed8799a0e0e417f9979c20b559"),
         ("refined-D", "ordered", "87c901a56ede669ca69079d99cf3bef3bb008569e721c463e1e2850151357d69"))
+] + [
+    # Recorded before `lower` and `coproduct` printed each row as it is
+    # made: the two other forest symmetry modes, the empty `terms` list and
+    # a one-term expansion.
+    (("coproduct", GOLDEN_K, "--forest-sigma", "sigma-only"),
+     "128d9a148742e0c93f49cfaba59088602ac0de208e4dca1ddb1b879137f14f45"),
+    (("coproduct", GOLDEN_K, "--forest-sigma", "mult-only"),
+     "8d3e0ab26f6031e78c7183a0d0a9dd36244fb055aa32ea637374fa31f809f80b"),
+    (("coproduct", GOLDEN_K, "--forest-sigma", "sigma-only", "--format", "json"),
+     "5f9a217a95ea3f7fa44accf45e81d809a0a13a2bdc63897ffb340af535dc2dcf"),
+    (("coproduct", GOLDEN_K, "--forest-sigma", "mult-only", "--format", "json"),
+     "9728bbc859f953522e203e9c90a3cecdbbae17e3c2e77013d6fba8f88fd50b19"),
+    (("lower", "a:0=2", "5", "--format", "json"),
+     "e8f333d45885477f87300af035fc5f671f0430ad247ea2dd6b96e64a8cb8b0b2"),
+    (("coproduct", "a:-1=1", "--format", "json"),
+     "7a8e9395b4f31eec1de41eb5bad98a4b460f37cbae8cb02d22a9f6d45d309c98"),
 ] + [
     # Recorded before every packed path moved onto `multiindex.PackedLayout`:
     # F by the box-truncated solve, the transport-array walk and the fibre
@@ -471,6 +548,56 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert err.startswith(f"error: internal error: {type(exc).__name__}")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -- streamed output -----------------------------------------------------------------
+
+class _Discard(io.TextIOBase):
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("argv,bound", [
+    # Traced peaks: about 4 MB with the whole output held, 1 MB streamed.
+    (("lower", "a:0=2,a:1=2,a:2=2,a:3=2,a:4=2,b:0=2,b:1=2,b:2=2", "10"), 2_500_000),
+    # 7,593 rows: about 5 MB held, 1.5 MB streamed.
+    (("coproduct", "a:-1=9,a:0=3,a:1=4,a:2=2"), 3_000_000),
+])
+def test_printed_rows_are_not_held(argv, bound):
+    with contextlib.redirect_stdout(_Discard()):
+        tracemalloc.start()
+        try:
+            assert main(list(argv)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ("lower", "a:0=2,a:1=2,a:2=2,a:3=2,a:4=2,b:2=2,b:3=1,b:4=1", "12"),
+    ("coproduct", "a:-1=9,a:0=3,a:1=4,a:2=2"),
+])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    # Each prints hundreds of kB, far more than a pipe holds, so the
+    # command is still writing when its reader goes.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen([sys.executable, "-m", "fibrecount", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 # -- module entry point ----------------------------------------------------------------

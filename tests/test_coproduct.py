@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits,
-                                  coproduct, coproduct_raw, forest_symmetry)
+from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits, _right_leg,
+                                  coproduct, coproduct_raw, coproduct_stream,
+                                  forest_symmetry)
 from fibrecount.multiindex import (MultiIndex, PackedLayout, branch_multisets,
                                    enumerate_profiles, iter_profile_parts,
                                    multiindices_of_degree)
@@ -203,3 +204,53 @@ def test_one_right_leg_per_remainder(monkeypatch, mode):
             assert all(r == b.weight() + 1 and f == form for b, r, f in calls)
     assert MultiIndex() in remainders     # a:-1=1 splits off whole
     assert shared > 0
+
+
+# -- the stream in print order ------------------------------------------------------
+
+def _forest_key(forest):
+    return tuple(part.sort_key() + (mult,) for part, mult in forest)
+
+
+@pytest.mark.parametrize("mode", DECOMPOSITION_MODES)
+def test_forest_splits_come_in_print_order(mode):
+    # The stream prints forests as `_forest_splits` yields them, with no
+    # sort: their keys must rise strictly, in both decomposition modes.
+    profiles = enumerate_profiles(("a", "b"), 7) + enumerate_profiles(("a", "b", "c"), 5)
+    for k in profiles:
+        keys = [_forest_key(forest) for forest, _ in _forest_splits(k)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), k
+        raw = coproduct_raw(k, mode)
+        assert [_forest_key(term.forest) for term in raw] == keys, k
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("mode", DECOMPOSITION_MODES)
+def test_coproduct_is_the_dict_of_the_stream(form, mode):
+    # The dict reads the stream; the stream's legs are sorted and formatted
+    # once, and every term is the prefactor times the leg's coefficient.
+    for k in enumerate_profiles(("a", "b"), 5):
+        stream = list(coproduct_stream(k, form, mode))
+        rows = {(forest, mono): Fraction(num * n, den * d)
+                for forest, num, den, leg in stream for mono, _, n, d in leg}
+        assert coproduct(k, form, mode) == rows, k
+        reference = {(term.forest, mono): term.prefactor * c
+                     for term in coproduct_raw(k, mode)
+                     for mono, c in _right_leg(term.remainder, term.order, form).items()}
+        assert rows == reference, k
+        assert [forest for forest, *_ in stream] == [t.forest for t in coproduct_raw(k, mode)]
+        for _, num, den, leg in stream:
+            assert math.gcd(num, den) == 1
+            assert [mono.sort_key() for mono, *_ in leg] == sorted(
+                mono.sort_key() for mono, *_ in leg)
+            assert all(text == str(mono) for mono, text, _, _ in leg)
+
+
+def test_stream_checks_its_arguments_before_the_first_split():
+    # The command writes a JSON envelope before the first row, so a bad
+    # argument must fail when the stream is made, not when it is read.
+    k = mi("a:-1=2,a:1=1")
+    for args in ((mi("a:0=1"),), (k, "nonsense"), (k, "raw-dbar", "nonsense"),
+                 (k, "raw-dbar", "multiset", "nonsense")):
+        with pytest.raises(ValueError):
+            coproduct_stream(*args)
