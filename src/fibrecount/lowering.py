@@ -19,14 +19,13 @@ at a time, sorted by l on one int key per state, which `lower` prints
 (`_level_terms`), and the refined coproduct legs only the target
 (`_level_targets`).
 The generating function in an auxiliary variable u factorizes over the
-entries of k, and its (k, b) coefficient is a sum over transport arrays;
-for reachable pairs it collapses to the single monomial
-u^|l| / |l|! * C[k,l].  `transport_walk` walks the transport arrays of k
-once, in integers, for every target, keyed by its code in a packed column
-layout; `coefficient_gf` decodes that walk, and `transition_gf`
-enumerates the arrays of one pair.  The oracle compares the routes in the
-walk's codes: a state's target sits in the walk's layout
-(`_LevelLayout.target_code`).
+entries of k; its (k, b) coefficient is a sum over transport arrays, for
+reachable pairs the single monomial u^|l| / |l|! * C[k,l].  One integer
+walk evaluates that sum (`transport_walk`), keyed by target code in a
+packed column layout (`_LevelLayout.target_code` reads a state's target
+there for the oracle): `coefficient_gf` decodes it over every target and
+`transition_gf` runs it capped at one.  `transport_arrays` lists the
+arrays of a pair, the reference that tests sum by hand.
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -81,8 +80,8 @@ def _column_layout(k: MultiIndex) -> PackedLayout:
     # The layout of the targets of k: |k| at every column (a, s),
     # -1 <= s <= max_index(a), where no count of a target passes |k|.
     top = {a: j for (a, j), _ in k.items()}     # the last j of each a is its largest
-    return PackedLayout(MultiIndex._raw(tuple(
-        ((a, s), k.degree()) for a, j in top.items() for s in range(-1, j + 1))))
+    return PackedLayout(MultiIndex._raw(tuple([
+        ((a, s), k.degree()) for a, j in top.items() for s in range(-1, j + 1)])))
 
 
 class _LevelLayout:
@@ -316,12 +315,11 @@ def coefficient_gf(k: MultiIndex, max_order: Optional[int] = None
     `max_order` when it is given.
 
     The multinomial expansion of the product is a sum over the transport
-    arrays n[a, j, s] of k, -1 <= s <= j (see `transport_arrays`), so one
-    walk over the arrays of k (`transport_walk`) yields every target b,
-    b_s^a = sum_j n[a,j,s].  The u-degree of an array is its drop
-    r = sum (j - s) * n[a,j,s] = weight(k) - weight(b), one per target,
-    and its weight is k! / prod (n! * (j - s)!^n); the walk's integer total
-    at b is r! times the coefficient of u^r, decoded here.
+    arrays n[a, j, s] of k, -1 <= s <= j (see `transport_arrays`): an array
+    reaches b, b_s^a = sum_j n[a,j,s], at u-degree its drop
+    r = sum (j - s) * n[a,j,s] = weight(k) - weight(b), with weight
+    k! / prod (n! * (j - s)!^n).  `transport_walk` totals r! times the
+    coefficient of u^r at every b, decoded here.
     """
     layout, totals = transport_walk(k, max_order)
     return dict(walk_term(k, layout, code, total) for code, total in totals.items())
@@ -338,51 +336,56 @@ def walk_term(k: MultiIndex, layout: PackedLayout, code: int, total: int
 
 def transport_walk(k: MultiIndex, max_order: Optional[int] = None
                    ) -> tuple[PackedLayout, dict[int, int]]:
-    """One walk over the transport arrays of k, as (layout, totals): each
-    target b of drop r <= `max_order` (any drop if None) is its code in
-    `layout`, the column layout with |k| at every key (a, s),
-    -1 <= s <= max_index(a), and totals[code] is the integer
-    sum over the arrays of b of r! * k! / prod (n! * (j - s)!^n), which is
-    C[k, l] for the l that reaches b.
-
-    The walk goes row by row over the entries of k and, within a row, cell
-    by cell over s, on the column counts packed in one int, with a stack
-    in place of recursion, and cuts a branch once its drop passes
-    `max_order`.
-    """
+    """One walk over the transport arrays of k, as (layout, totals): totals
+    maps the code in `layout` (|k| at every column (a, s), -1 <= s <=
+    max_index(a)) of each target b of drop r <= `max_order` (any if None)
+    to the sum over its arrays of r! * k! / prod (n! * (j - s)!^n), which
+    is C[k, l] for the l that reaches b.  `transition_gf` runs the same
+    walk (`_walk`) capped at b."""
     if max_order is not None and max_order < 0:
         raise ValueError("order must be >= 0")
-    # The column counts are a code in the layout of the targets of k; row
-    # (a, j) has a cell, a unit code, per column s <= j.
     layout = _column_layout(k)
-    rows = [([1 << layout.offsets[(a, s)] for s in range(-1, j + 1)], j, c)
-            for (a, j), c in k.items()]
-    kfact = k.symmetry_factor()
     limit = sum((j + 1) * c for (_, j), c in k.items()) if max_order is None else max_order
-    totals: dict[int, int] = {}
-    # A state: row i, column s, the units of row i left for columns s..j,
-    # the drop, the denominator so far and the column counts.
-    stack = [(0, -1, rows[0][2] if rows else 0, 0, 1, 0)]
-    while stack:
-        i, s, left, drop, denom, cols = stack.pop()
-        if i == len(rows):
-            totals[cols] = totals.get(cols, 0) + math.factorial(drop) * kfact // denom
-            continue
-        cells, j, _ = rows[i]
-        s = max(s, j - (limit - drop))     # a unit further left would pass the limit
-        if s == j or not left:     # the diagonal cell takes the rest, at no drop
-            rest = rows[i + 1][2] if i + 1 < len(rows) else 0
-            stack.append((i + 1, -1, rest, drop, denom * math.factorial(left),
-                          cols + left * cells[-1]))
-            continue
-        gap = j - s
-        cell = cells[s + 1]
-        step = math.factorial(gap)
-        stack.append((i, s + 1, left, drop, denom, cols))
-        for n in range(1, min(left, (limit - drop) // gap) + 1):
-            stack.append((i, s + 1, left - n, drop + gap * n,
-                          denom * math.factorial(n) * step ** n, cols + n * cell))
-    return layout, totals
+    return layout, _walk(k, layout, layout.box, limit)
+
+
+def _walk(k: MultiIndex, layout: PackedLayout, cap: MultiIndex, limit: int) -> dict[int, int]:
+    """The totals of the arrays of k with columns <= `cap` and drop <= `limit`,
+    row by row over the entries of k and, within a row, cell by cell over s
+    on a stack.  A state's room is code(cap) less its units, guard bits set:
+    an overfull column clears one.  At a row end the states merge by room,
+    as the rows done and the columns fix the drop d, each holding
+    d! * prod (c! / prod (n! * (j - s)!^n)) over the rows done; a row from
+    d to d' multiplies it by the integer (d'! / d!) * c! / prod (...)."""
+    guard, fact = layout.guard, math.factorial
+    top = layout.code(cap) + guard
+    states = {top: (0, 1)}     # room -> (drop, value)
+    for (a, j), c in k.items():
+        cells = [1 << layout.offsets[(a, s)] for s in range(-1, j + 1)]
+        merged: dict[int, tuple[int, int]] = {}
+        for room, (drop, value) in states.items():
+            # Column s, the units left for columns s..j, the drop, the
+            # denominator so far and the room.
+            stack = [(-1, c, drop, 1, room)]
+            while stack:
+                s, left, d, denom, rest = stack.pop()
+                s = max(s, j - (limit - d))     # a unit further left would pass the limit
+                if s == j or not left:     # the diagonal cell takes the rest, at no drop
+                    rest -= left * cells[-1]
+                    if rest & guard == guard:
+                        v = value * (fact(d) // fact(drop) * fact(c) // (denom * fact(left)))
+                        merged[rest] = (d, merged[rest][1] + v if rest in merged else v)
+                    continue
+                gap, cell = j - s, cells[s + 1]
+                stack.append((s + 1, left, d, denom, rest))
+                for n in range(1, min(left, (limit - d) // gap) + 1):
+                    rest -= cell
+                    if rest & guard != guard:
+                        break
+                    denom *= n * fact(gap)
+                    stack.append((s + 1, left - n, d + gap * n, denom, rest))
+        states = merged
+    return {top - room: value for room, (_, value) in states.items()}
 
 
 def transport_arrays(k: MultiIndex, b: MultiIndex) -> list[dict]:
@@ -441,15 +444,11 @@ def _per_decoration_arrays(rows: list[tuple[int, int]],
 
 
 def transition_gf(k: MultiIndex, b: MultiIndex) -> UPolynomial:
-    """The (k, b) coefficient of the lowering generating function as a sum
-    over transport arrays; {} when no array exists."""
-    kfact = k.symmetry_factor()
-    out: UPolynomial = {}
-    for array in transport_arrays(k, b):
-        degree = 0
-        denom = 1
-        for (_, j, s), v in array.items():
-            degree += (j - s) * v
-            denom *= math.factorial(v) * math.factorial(j - s) ** v
-        out[degree] = out.get(degree, 0) + Fraction(kfact, denom)
-    return {d: c for d, c in out.items() if c != 0}
+    """The (k, b) coefficient of the lowering generating function: the walk
+    of `transport_walk` capped at b, at the drop weight(k) - weight(b), read
+    at b's code; {} when no array exists."""
+    layout, r = _column_layout(k), k.weight() - b.weight()
+    if r < 0 or b.degree() != k.degree() or any(key not in layout.offsets for key, _ in b.items()):
+        return {}
+    code, totals = layout.code(b), _walk(k, layout, b, r)
+    return walk_term(k, layout, code, totals[code])[1] if code in totals else {}

@@ -17,7 +17,8 @@ from fibrecount import cli
 from fibrecount.cli import main, run_oracle
 from fibrecount.coproduct import DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS
 from fibrecount.lowering import c_coefficient_level, c_coefficient_tables
-from fibrecount.multiindex import MultiIndex, enumerate_multiindices, enumerate_profiles
+from fibrecount.multiindex import (MultiIndex, apply_shift, enumerate_multiindices,
+                                   enumerate_profiles)
 from fibrecount.series import TruncatedSeries
 from fibrecount.weighted import weighted_counts
 
@@ -194,6 +195,50 @@ def test_transition_unreachable(capsys):
     assert payload == {"k": "a:-1=1", "b": "a:0=1", "l": None, "terms": []}
 
 
+TRANSITION_KEYS = [(a, j) for a in "ab" for j in range(-1, 4)]
+
+
+def _monomials(keys):
+    # Degree <= 4 over the given keys.
+    return st.lists(st.sampled_from(keys), max_size=4).map(
+        lambda drawn: MultiIndex([(key, 1) for key in drawn]))
+
+
+@st.composite
+def transition_pairs(draw):
+    # k on a,b, and b either a target of k or any monomial, which may be
+    # unreachable or carry a key k lacks.
+    k = draw(_monomials(TRANSITION_KEYS))
+    b = apply_shift(k, draw(_monomials([key for key in TRANSITION_KEYS if key[1] >= 0])))
+    if b is None or draw(st.booleans()):
+        b = draw(_monomials(TRANSITION_KEYS + [("c", -1), ("c", 0)]))
+    return k, b
+
+
+def _term_text(term):
+    value, d = Fraction(term["num"], term["den"]), term["degree"]
+    if d == 0:
+        return str(value)
+    return ("" if value.numerator == 1 else f"{value.numerator}*") \
+        + ("u" if d == 1 else f"u^{d}") \
+        + ("" if value.denominator == 1 else f"/{value.denominator}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(transition_pairs())
+@example((MultiIndex.parse("a:0=1"), MultiIndex.parse("a:3=1")))
+@example((MultiIndex.parse("a:0=1,b:0=1"), MultiIndex.parse("a:-1=1,a:0=1")))
+def test_transition_json_terms_are_the_text_line(pair):
+    # Every pair exits 0; the JSON terms print as the text line, and l is
+    # null exactly when no term is left.
+    k, b = pair
+    text = _stdout("transition", str(k), str(b))
+    payload = json.loads(_stdout("transition", str(k), str(b), "--format", "json"))
+    assert (payload["k"], payload["b"]) == (str(k), str(b))
+    assert (" + ".join(map(_term_text, payload["terms"])) or "0") + "\n" == text
+    assert (payload["l"] is None) == (not payload["terms"]), pair
+
+
 @pytest.mark.parametrize("entries", [45, 200])
 def test_transition_on_many_distinct_entries(capsys, entries):
     # One transport array, the identity, found at any number of cells.
@@ -223,6 +268,7 @@ def test_coproduct_forms_match_default(capsys, form):
 # -- golden outputs ----------------------------------------------------------------
 
 GOLDEN_K = "a:-1=5,a:1=1,a:2=1,b:0=1,b:1=1"     # a degree-9 profile
+IDENTITY_200 = ",".join(f"a:{j}=1" for j in range(200))
 
 # SHA-256 of stdout, recorded before `lower` and the refined right legs read
 # their targets off the dense level tables, and before both series ran on
@@ -319,6 +365,23 @@ GOLDEN = [
      "20bb59e6858698fa39c2618aeb6be320f3452d5051b60ed47fb26b93b1711eba"),
     (("oracle", "--max-n", "5", "--alphabet", "a,b,c", "--force"),
      "889ab84cfade8cdb31d87b3600b090b3c37eec9341b27c9af18cd9c525079d3b"),
+] + [
+    # Recorded before `transition` moved onto the transport walk capped at
+    # b: a key of b above k's largest index, a decoration k lacks, equal
+    # degree with a per-decoration mismatch, and the identity on 200 entries.
+    (("transition", k, b, *fmt), digest)
+    for k, b, text, json_digest in (
+        ("a:0=1", "a:5=1", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+         "185acbf78e53ae9c19133f7543aa644cbb65c36dfc9ff6ad226041840052acc1"),
+        ("a:0=1", "c:0=1", "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+         "5ade68b378bc06a9d80ed22bb82be26b220c886936717a1f22e25206e7ebf837"),
+        ("a:0=1,b:0=1", "a:-1=1,a:0=1",
+         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+         "6374cb3c6672e6261e70b925f318928774852629815c26ef3af86b2c05fc6915"),
+        (IDENTITY_200, IDENTITY_200,
+         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+         "dd29861adc3980a90e22839b6f42c69f7f30f8a5c278316b4365165fc4106d93"))
+    for fmt, digest in (((), text), (("--format", "json"), json_digest))
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -314,13 +315,30 @@ def _balanced_targets(k):
     return [sum(combo, MultiIndex()) for combo in itertools.product(*per_decoration)]
 
 
+def _hand_sum(k, b):
+    # The (k, b) u-polynomial summed by hand over the listed transport
+    # arrays: the reference for the walk.
+    kfact = math.prod(math.factorial(c) for _, c in k.items())
+    total = {}
+    for arr in transport_arrays(k, b):
+        deg = sum((j - s) * c for (_, j, s), c in arr.items())
+        den = math.prod(math.factorial(c) * math.factorial(j - s) ** c
+                        for (_, j, s), c in arr.items())
+        total[deg] = total.get(deg, Fraction(0)) + Fraction(kfact, den)
+    return {d: c for d, c in total.items() if c}
+
+
 def test_coefficient_gf_matches_transitions():
     # The one walk over k agrees with the per-pair route on every target,
-    # and has the same support.
+    # and has the same support; on the a,b half of the grid the per-pair
+    # route also equals the hand sum over the listed arrays.
     for k in GF_GRID:
-        per_pair = {b: upoly for b in _balanced_targets(k)
-                    if (upoly := transition_gf(k, b))}
+        targets = _balanced_targets(k)
+        per_pair = {b: upoly for b in targets if (upoly := transition_gf(k, b))}
         assert coefficient_gf(k) == per_pair
+        if "c" not in k.decorations():
+            for b in targets:
+                assert per_pair.get(b, {}) == _hand_sum(k, b), (k, b)
         # unreachable targets produce the empty polynomial
         assert transition_gf(k, k + unit("a", 0)) == {}
 
@@ -388,16 +406,19 @@ def test_transport_reproduces_transition():
     k = mi("a:1=2")
     for target in (mi("a:1=2"), mi("a:1=1,a:0=1"), mi("a:0=2"),
                    mi("a:1=1,a:-1=1"), mi("a:0=1,a:-1=1"), mi("a:-1=2")):
-        arrays = transport_arrays(k, target)
-        total = {}
-        for arr in arrays:
-            deg = sum((j - s) * c for (_, j, s), c in arr.items())
-            num = 1
-            for (a, j), count in k.items():
-                num *= math.factorial(count)
-            den = 1
-            for (_, j, s), c in arr.items():
-                den *= math.factorial(c) * math.factorial(j - s) ** c
-            total[deg] = total.get(deg, Fraction(0)) + Fraction(num, den)
-        total = {d: c for d, c in total.items() if c}
-        assert total == transition_gf(k, target)
+        assert _hand_sum(k, target) == transition_gf(k, target)
+
+
+def test_transition_of_a_large_pair_holds_no_array_list():
+    # Five rows of 8 to five columns of 8: each column's room caps the walk
+    # and the states merge at each row end, so no array is held.
+    k = mi("a:0=8,a:1=8,a:2=8,a:3=8,a:4=8")
+    b = mi("a:-1=8,a:0=8,a:1=8,a:2=8,a:3=8")
+    tracemalloc.start()
+    try:
+        upoly = transition_gf(k, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert upoly == {40: Fraction(10664017482895544228345812771, 42998169600000000)}
+    assert peak < 2_000_000, peak
