@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 oracle mismatch, 2 parse error, 3 domain error,
 4 cap exceeded, 5 internal error, 141 (128 + SIGPIPE) stdout closed by its
 reader.  All output is deterministic: reports are sorted by canonical keys,
-so repeated runs are byte-identical; `lower` and `coproduct` write each row
-as it is made.  The oracle accepts ``--jobs`` (an integer >= 1) and echoes
-it in its JSON report, but always runs sequentially.
+so repeated runs are byte-identical; `series`, `lower` and `coproduct` write
+each row as it is made.  The oracle accepts ``--jobs`` (an integer >= 1)
+and echoes it in its JSON report, but always runs sequentially.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .weighted import (prescribed_fertility_count, weighted_counts,
                        weighted_counts_recursive, weighted_series)
 from .ordinary import (_h_series_cycles, fill_counts, h_series_product,
                        ordinary_count, ordinary_count_recursive, ordinary_series)
+from .series import series_rows
 from .lowering import (_c_levels, _d_levels, _level, _level_rows, apply_lowering,
                        c_coefficient_tables, transition_gf, transport_walk, walk_term)
 from .coproduct import (DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS,
@@ -110,14 +111,15 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
 def _write_rows(fmt: str, envelope: dict, rows: Iterable[tuple],
                 line: Callable, record: Callable) -> int:
     """Write each row as soon as it is made: `line(*row)` in text, and in
-    JSON the envelope with `record(*row)` for each row in its "terms" list,
-    byte for byte what one `json.dumps` of the whole envelope writes."""
+    JSON the envelope with `record(*row)` for each row in the list of its
+    last key, which the envelope holds empty, byte for byte what one
+    `json.dumps` of the whole envelope writes."""
     out = sys.stdout
     if fmt == "text":
         out.writelines(itertools.starmap(line, rows))
     else:
         records = (json.dumps(record(*row)) for row in rows)
-        out.write(json.dumps({**envelope, "terms": []})[:-2] + next(records, ""))
+        out.write(json.dumps(envelope)[:-2] + next(records, ""))
         out.writelines(", " + text for text in records)
         out.write("]}\n")
     return 0
@@ -162,24 +164,23 @@ def cmd_series(args) -> int:
         raise CapExceeded(
             f"degree {args.max_degree} exceeds cap {SERIES_DEGREE_CAP}"
             " (use --force to override)")
-    solve = weighted_series if args.mode == "weighted" else ordinary_series
-    terms = solve(alphabet, args.max_degree).sorted_terms()
-    if args.format == "json":
-        value = _frac_json if args.mode == "weighted" else int
-        coeffs = [{"k": str(mono), "value": value(c)} for mono, c in terms]
-        print(json.dumps({"mode": args.mode, "alphabet": list(alphabet),
-                          "max_degree": args.max_degree,
-                          "coefficients": coeffs}))
-    else:
-        for mono, c in terms:
-            print(f"{mono} -> {_frac_str(c)}")
-    return 0
+    labelled = args.mode == "weighted"
+    rows = series_rows(alphabet, args.max_degree, labelled,
+                       lambda key, c: f"{key[0]}:{key[1]}={c}")
+    return _write_rows(
+        args.format, {"mode": args.mode, "alphabet": list(alphabet),
+                      "max_degree": args.max_degree, "coefficients": []},
+        rows,
+        lambda labels, n, d:
+            f"{','.join(labels)} -> {n}\n" if d == 1 else f"{','.join(labels)} -> {n}/{d}\n",
+        lambda labels, n, d:
+            {"k": ",".join(labels), "value": {"num": n, "den": d} if labelled else n})
 
 
 def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
     return _write_rows(
-        args.format, {"k": str(k), "r": args.r},
+        args.format, {"k": str(k), "r": args.r, "terms": []},
         _level_rows(*_level(_c_levels(k, args.r), args.r)),
         lambda low, target, c:
             f"l = {entries_text(low)}, C = {c}, target = {entries_text(target)}\n",
@@ -219,7 +220,7 @@ def cmd_coproduct(args) -> int:
                 yield forest, left, right, n * num // g, d * den // g
     return _write_rows(
         args.format, {"k": str(k), "form": args.form, "decomposition": args.decomposition,
-                      "forest_sigma": args.forest_sigma},
+                      "forest_sigma": args.forest_sigma, "terms": []},
         rows(),
         lambda forest, left, right, n, d:
             f"{left} (x) {right} : {n}\n" if d == 1 else f"{left} (x) {right} : {n}/{d}\n",
@@ -243,12 +244,15 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if w_formula is None:
-        w_formula = lambda k: weighted_counts(k).W
     if c_tables_fn is None:
         c_tables_fn = c_coefficient_tables
     alph = tuple(sorted(set(alphabet)))
     profiles = enumerate_profiles(alph, max_n)
+    # The closed form (L, W, J) once per profile, read by three checks and
+    # the default w_formula up to the series check.
+    closed_forms = {k: weighted_counts(k) for k in profiles}
+    if w_formula is None:
+        w_formula = lambda k: closed_forms[k].W
     # Brute force: each fibre's trees counted by automorphism order.  The
     # fibre sizes and the fibre masses sum 1/aut, read by three checks, sum
     # over the distinct orders.
@@ -283,7 +287,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     # Labelled count identity L = n! * W against the brute fibre sum.
     def labelled_case(k):
         expected = math.factorial(k.degree()) * masses[k]
-        got = weighted_counts(k).L
+        got = closed_forms[k].L
         if got != expected:
             return [f"quantity=labelled-identity k={k} "
                     f"expected={_frac_str(expected)} got={got}"]
@@ -310,7 +314,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
     # Integer fibre mass: J against the sum of expansion coefficients.
     def mass_case(k):
         brute = k.symmetry_factor() * masses[k]
-        got = weighted_counts(k).J
+        got = closed_forms[k].J
         if brute.denominator != 1 or got != brute:
             return [f"quantity=mass-integrality k={k} "
                     f"expected={_frac_str(brute)} got={got}"]
@@ -360,6 +364,9 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                 series_bad.append(f"quantity=series-stray-{label} k={mono} "
                                   f"expected=absent got={_frac_str(series.coefficient(mono))}")
     checks.append(("series-coefficients", 2 * len(small) + 2, series_bad))
+    # No check reads the closed forms past here; the heap peaks in the
+    # lowering and coproduct checks below.
+    closed_forms.clear()
 
     # Branch-multiset series: product route against the cycle-index route.
     nh, mh = min(max_n, 5), min(max_n, 3)

@@ -24,8 +24,9 @@ reachable pairs the single monomial u^|l| / |l|! * C[k,l].  One integer
 walk evaluates that sum (`transport_walk`), keyed by target code in a
 packed column layout (`_LevelLayout.target_code` reads a state's target
 there for the oracle): `coefficient_gf` decodes it over every target and
-`transition_gf` runs it capped at one.  `transport_arrays` lists the
-arrays of a pair, the reference that tests sum by hand.
+`transition_gf` runs it capped at one, once k and b agree in degree on
+every decoration.  `transport_arrays` lists the arrays of a pair, the
+reference that tests sum by hand.
 
 Polynomials here are plain dicts monomial -> coefficient with no zero
 values stored; u-polynomials are dicts degree -> Fraction.
@@ -443,12 +444,24 @@ def _per_decoration_arrays(rows: list[tuple[int, int]],
     return sols
 
 
+def _decoration_degrees(m: MultiIndex) -> dict[str, int]:
+    # The count of m per decoration; the lowering flow keeps each one.
+    out: dict[str, int] = {}
+    for (a, _), c in m.items():
+        out[a] = out.get(a, 0) + c
+    return out
+
+
 def transition_gf(k: MultiIndex, b: MultiIndex) -> UPolynomial:
     """The (k, b) coefficient of the lowering generating function: the walk
     of `transport_walk` capped at b, at the drop weight(k) - weight(b), read
-    at b's code; {} when no array exists."""
-    layout, r = _column_layout(k), k.weight() - b.weight()
-    if r < 0 or b.degree() != k.degree() or any(key not in layout.offsets for key, _ in b.items()):
+    at b's code; {} when no array exists, with no walk when k and b differ
+    in degree on some decoration."""
+    r = k.weight() - b.weight()
+    if r < 0 or _decoration_degrees(k) != _decoration_degrees(b):
+        return {}
+    layout = _column_layout(k)
+    if any(key not in layout.offsets for key, _ in b.items()):
         return {}
     code, totals = layout.code(b), _walk(k, layout, b, r)
     return walk_term(k, layout, code, totals[code])[1] if code in totals else {}

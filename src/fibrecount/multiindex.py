@@ -366,8 +366,10 @@ class PackedLayout:
 
     Each entry of the box gets one field, one bit wider than its count, at
     bit `offsets[key]`; the top bit of the field is its guard bit, and
-    `guard` is the mask of them all.  The code of m is
-    sum m_key << offsets[key].  The sum of two codes in the box fits in
+    `guard` is the mask of them all.  The first key of the box takes the
+    top field and the last key bit 0, so codes of one degree sort as their
+    entry tuples on one int key each (`series.series_rows`).  The code of m
+    is sum m_key << offsets[key].  The sum of two codes in the box fits in
     every field, guard bit included, so codes add without a carry across
     fields.  For r and m in the box, m <= r exactly when
     ((code(r) | guard) - code(m)) has every guard bit set, and that
@@ -378,13 +380,14 @@ class PackedLayout:
 
     def __init__(self, box: MultiIndex):
         self.box, self.offsets, self._fields = box, {}, []
-        top = self.guard = 0
+        top = sum(self.field_width(c) for _, c in box.items())
+        self.guard = 0
         for key, c in box.items():
             width = self.field_width(c)
+            self.guard |= 1 << (top - 1)
+            top -= width
             self.offsets[key] = top
             self._fields.append((key, top, (1 << width) - 1))
-            top += width
-            self.guard |= 1 << (top - 1)
 
     @staticmethod
     def field_width(count: int) -> int:

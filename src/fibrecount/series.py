@@ -24,17 +24,23 @@ dicts of integer coefficients over monomials packed in one layout
 (`multiindex.PackedLayout`): the degree-d coefficients of T need only
 those below d (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
 W solves the F equation with every p_r, r >= 2, set to zero, for L = d! W.
+`series_rows` is the one converter of that solve to rows in print order:
+it sorts each degree's codes on one int key and reads each monomial off
+its code as labels made once per (field, count), so the `series` command
+prints with no `MultiIndex` or `Fraction` built per term, and
+`solve_series` builds its `TruncatedSeries` from the same rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .multiindex import MultiIndex, PackedLayout, profile_box, unit
 
 Scalar = Union[int, Fraction]
+T = TypeVar("T")
 
 
 class TruncatedSeries:
@@ -261,16 +267,63 @@ def solve_graded(box: MultiIndex, degree: int, labelled: bool) -> list[dict[int,
     return p[1]
 
 
-def solve_series(alphabet: Iterable[str], max_degree: int,
-                 labelled: bool) -> TruncatedSeries:
-    """F, or W if labelled, to total degree n = max_degree: profiles of
-    degree <= n have j <= n - 2 and no count above n, so the box with n at
-    each such key cuts no term."""
+def series_rows(alphabet: Iterable[str], max_degree: int, labelled: bool,
+                label: Callable[[tuple[str, int], int], T]
+                ) -> Iterator[tuple[tuple[T, ...], int, int]]:
+    """F, or W if labelled, to total degree n = max_degree, as rows
+    (labels, num, den) made one at a time in print order: by degree, and
+    within a degree in the order of the monomials' entry tuples.  labels
+    holds label(key, c) for each entry (key, c) of the monomial in key
+    order, each made once per call; num/den is the coefficient in lowest
+    terms, L / d! at degree d if labelled, else F / 1.  The one converter of
+    the graded solve to rows: the solve runs before the first row.
+
+    Profiles of degree <= n have j <= n - 2 and no count above n, so the
+    box with n at every such key cuts no term.  Its layout puts the first
+    key in the top field, and every monomial of one degree has the same
+    total count, so field by field from the top a nonzero count sorts
+    before a zero and a smaller count first.  The sort key maps each field
+    c to c - 1 and 0 to all ones, ((code | guard) - ones) ^ guard, with no
+    borrow across fields, as no count of the box sets its guard bit.  A
+    code is read from its top set bit down, one nonzero field at a time.
+    """
     box = profile_box(alphabet, max_degree)
     levels = solve_graded(box, max_degree, labelled)
-    decode = PackedLayout(box).decode
-    terms: dict[MultiIndex, Scalar] = {}
-    for d in range(1, max_degree + 1):
-        for code, v in levels[d].items():
-            terms[decode(code)] = Fraction(v, math.factorial(d)) if labelled else v
-    return TruncatedSeries._trusted(max_degree, terms)
+    layout = PackedLayout(box)
+    guard = layout.guard
+    ones = sum(1 << offset for offset in layout.offsets.values())
+    # field[b]: the offset, the mask of the bits below it and the labels
+    # by count of the field that holds bit b - 1.
+    field: list = [None] * (guard.bit_length() + 1)
+    for key, count in box.items():
+        offset, width = layout.offsets[key], PackedLayout.field_width(count)
+        names = [None] + [label(key, c) for c in range(1, count + 1)]
+        field[offset + 1:offset + width + 1] = [(offset, (1 << offset) - 1, names)] * width
+
+    def rows():
+        fact = 1
+        for d, level in enumerate(levels):
+            fact *= d or 1
+            for code in sorted(level, key=lambda code: ((code | guard) - ones) ^ guard):
+                labels, rest = [], code
+                while rest:
+                    offset, below, names = field[rest.bit_length()]
+                    labels.append(names[rest >> offset])
+                    rest &= below
+                v = level[code]
+                if labelled:
+                    g = math.gcd(v, fact)
+                    yield tuple(labels), v // g, fact // g
+                else:
+                    yield tuple(labels), v, 1
+    return rows()
+
+
+def solve_series(alphabet: Iterable[str], max_degree: int,
+                 labelled: bool) -> TruncatedSeries:
+    """F, or W if labelled, to total degree max_degree, from the rows of
+    `series_rows`."""
+    rows = series_rows(alphabet, max_degree, labelled, lambda key, c: (key, c))
+    return TruncatedSeries._trusted(max_degree, {
+        MultiIndex._raw(entries): Fraction(num, den) if labelled else num
+        for entries, num, den in rows})

@@ -19,8 +19,9 @@ from fibrecount.coproduct import DECOMPOSITION_MODES, FOREST_SIGMA_MODES, FORMS
 from fibrecount.lowering import c_coefficient_level, c_coefficient_tables
 from fibrecount.multiindex import (MultiIndex, apply_shift, enumerate_multiindices,
                                    enumerate_profiles)
+from fibrecount.ordinary import ordinary_series
 from fibrecount.series import TruncatedSeries
-from fibrecount.weighted import weighted_counts
+from fibrecount.weighted import weighted_counts, weighted_series
 
 
 def run(capsys, *argv):
@@ -179,6 +180,36 @@ def test_coproduct_json_rows_are_the_text_lines(k, form, mode, sigma):
         assert value == (f"{t['num']}" if t["den"] == 1 else f"{t['num']}/{t['den']}")
         lines.append(f"{left} (x) {t['right']} : {value}")
     assert lines == text.splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
+       st.integers(1, 6), st.sampled_from(("ordinary", "weighted")))
+@example(["b", "a"], 6, "weighted")
+def test_series_json_coefficients_are_the_text_lines_in_order(letters, degree, mode):
+    # The JSON coefficients print as the text lines, in strictly rising
+    # (degree, entries) order, with the values of the library series.
+    argv = ("series", mode, "--max-degree", str(degree), "--alphabet", ",".join(letters))
+    text = _stdout(*argv)
+    payload = json.loads(_stdout(*argv, "--format", "json"))
+    alphabet = sorted(letters)
+    assert list(payload) == ["mode", "alphabet", "max_degree", "coefficients"]
+    assert (payload["mode"], payload["alphabet"], payload["max_degree"]) \
+        == (mode, alphabet, degree)
+    coeffs = payload["coefficients"]
+    if mode == "weighted":
+        values = [Fraction(c["value"]["num"], c["value"]["den"]) for c in coeffs]
+        assert [(v.numerator, v.denominator) for v in values] \
+            == [(c["value"]["num"], c["value"]["den"]) for c in coeffs]
+    else:
+        values = [c["value"] for c in coeffs]
+        assert all(type(v) is int for v in values)
+    assert [f"{c['k']} -> {v}" for c, v in zip(coeffs, values)] == text.splitlines()
+    keys = [MultiIndex.parse(c["k"]).sort_key() for c in coeffs]
+    assert all(a < b for a, b in zip(keys, keys[1:])), argv
+    solve = weighted_series if mode == "weighted" else ordinary_series
+    assert {MultiIndex.parse(c["k"]): v for c, v in zip(coeffs, values)} \
+        == dict(solve(tuple(alphabet), degree).sorted_terms())
 
 
 def test_transition_text(capsys):
@@ -382,6 +413,35 @@ GOLDEN = [
          "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
          "dd29861adc3980a90e22839b6f42c69f7f30f8a5c278316b4365165fc4106d93"))
     for fmt, digest in (((), text), (("--format", "json"), json_digest))
+] + [
+    # Recorded before `series` printed straight from the packed solve: the
+    # field width of the box is 4 bits at degree 7 and 5 bits at degree 8.
+    (("series", mode, "--max-degree", degree, "--alphabet", "a,b", *fmt), digest)
+    for mode, degree, fmt, digest in (
+        ("ordinary", "7", (), "71b27f4a3f58b73601d15cad88ce708ec8505c07cea7dc15579f9916db8b7ab3"),
+        ("ordinary", "7", ("--format", "json"),
+         "274c8a6f9df9e541db1eb6394b00782385a12e39501abda25757a9dc5abecdaf"),
+        ("ordinary", "8", (), "cc8a18cce9849770c1b97d815ba6b4c10707693b5f73d5db51bbfad85685bc47"),
+        ("ordinary", "8", ("--format", "json"),
+         "65f6c24407ed20a41aba4cf119b8a36bf742357495765a3e670617f29d46065e"),
+        ("weighted", "7", (), "30c38f8590027bf53a3505002f94d1a43237d76a1a289431ec3a2f8e94084307"),
+        ("weighted", "7", ("--format", "json"),
+         "e3eea16291b554c732736ba814d53f92ccf58848d0f58fdf9f9421ba43071570"),
+        ("weighted", "8", (), "065a897c1dcbbac51cc64c313329edc63ba4ec40231d81259c1cd006de64452a"),
+        ("weighted", "8", ("--format", "json"),
+         "a0d3a9084daace22dd98eaf5f181d322e4f18f5d3b33c1a98b5f83d66e5995a9"),
+        # The series-solve benchmark job.
+        ("weighted", "9", (), "cd78d8163d35debcfa45feaa65e3f4508cff5db4363bfdfd422da68452254758"),
+        ("weighted", "9", ("--format", "json"),
+         "69424fcfb0e9ba94eba1b048a9e184c5c36d60b58255d389947ea320eb0dd789"))
+] + [
+    # One term, the leaf.
+    (("series", "ordinary", "--max-degree", "1", "--alphabet", "a"),
+     "3e3411441b0c01c6e9b39ab7229455df24c698035d7e312c45d3b84344591de6"),
+    (("series", "ordinary", "--max-degree", "1", "--alphabet", "a", "--format", "json"),
+     "760e8c1cd9812be33f75a47c5d01df495ca02eabd6732a83c7f7d920a5e3620f"),
+    (("series", "weighted", "--max-degree", "1", "--alphabet", "a", "--format", "json"),
+     "b577536a82847b45a552cd30c7781063e48d9e2c8bab133be72350fecde61579"),
 ]
 
 
@@ -642,6 +702,8 @@ def test_printed_rows_are_not_held(argv, bound):
 @pytest.mark.parametrize("argv", [
     ("lower", "a:0=2,a:1=2,a:2=2,a:3=2,a:4=2,b:2=2,b:3=1,b:4=1", "12"),
     ("coproduct", "a:-1=9,a:0=3,a:1=4,a:2=2"),
+    # 12,542 lines, 456 kB.
+    ("series", "ordinary", "--max-degree", "12", "--alphabet", "a,b"),
 ])
 def test_closed_stdout_pipe_exits_141_quietly(argv):
     # Each prints hundreds of kB, far more than a pipe holds, so the

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, find_shift,
                                    multiindices_of_degree, unit)
+from fibrecount import lowering
 from fibrecount.lowering import (_c_levels, _d_levels, apply_lowering, c_coefficient,
                                  c_coefficient_level, c_coefficient_tables,
                                  coefficient_gf, d_coefficient,
@@ -407,6 +408,25 @@ def test_transport_reproduces_transition():
     for target in (mi("a:1=2"), mi("a:1=1,a:0=1"), mi("a:0=2"),
                    mi("a:1=1,a:-1=1"), mi("a:0=1,a:-1=1"), mi("a:-1=2")):
         assert _hand_sum(k, target) == transition_gf(k, target)
+
+
+def test_transition_on_a_decoration_mismatch_runs_no_walk(monkeypatch):
+    # Every pair (k, b) of the a,b half of GF_GRID of equal degree that
+    # differs in degree on some decoration: no transport array exists, and
+    # the transition is {} before the walk starts.
+    def walk(*args):
+        raise AssertionError("walked a per-decoration mismatch")
+    monkeypatch.setattr(lowering, "_walk", walk)
+    ab = enumerate_multiindices(("a", "b"), 4, 3)
+    pairs = 0
+    for k in ab:
+        a_count = sum(c for (d, _), c in k.items() if d == "a")
+        for b in ab:
+            if b.degree() == k.degree() \
+                    and sum(c for (d, _), c in b.items() if d == "a") != a_count:
+                assert transition_gf(k, b) == {} == _hand_sum(k, b), (k, b)
+                pairs += 1
+    assert pairs == 426_250
 
 
 def test_transition_of_a_large_pair_holds_no_array_list():
