@@ -425,7 +425,7 @@ def run_oracle(max_n: int, alphabet: Iterable[str],
                 code = states.target_code(state)
                 d_codes[code] = d
                 if code not in c_codes:
-                    bad.append(f"quantity=lowering-D k={k} l={states.lowering(state)} "
+                    bad.append(f"quantity=lowering-D k={k} l={states.lows.decode(state)} "
                                f"expected=0 got={d}")
             for low, code, c in rows[r]:
                 if code is None:

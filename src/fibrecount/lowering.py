@@ -10,10 +10,11 @@ one-step recursion.  Each route walks per-k levels of packed states
 (`_levels`, level r from level r - 1, up to the last nonempty level, which
 the largest drop bounds), one int per (target, l) in a `_LevelLayout` of
 k built once per call, where a unit of l is one add and its reachability
-one guard-bit test; no memo is kept across calls.  Every reader decodes
-from that layout, and a reader of one order holds only that level:
+one guard-bit test; no memo is kept across calls.  A state is two
+`PackedLayout` codes, l below the target, through which every reader
+decodes and sorts, and a reader of one order holds only that level:
 `_level_rows` makes rows (l, target, value) of canonical entry tuples one
-at a time, sorted by l on one int key per state, which `lower` prints
+at a time, sorted by l, which `lower` prints
 (`multiindex.entries_text`) as they come, with no `MultiIndex` built;
 `c_coefficient_level` and `d_coefficient_level` make both multi-indices
 (`_level_terms`), and the refined coproduct legs only the target
@@ -87,38 +88,30 @@ def _column_layout(k: MultiIndex) -> PackedLayout:
 
 class _LevelLayout:
     """The packed states of the level walk of k, one int per (target, l):
-    the counts of l over the extension keys of k in the low bits and, from
-    bit `shift`, the code of the target k - l + left_shift(l) in
-    `_column_layout(k)` (that of `transport_walk`) with its guard bits set.
-    Every field is as wide as one of that layout.  A unit of l at (a, j)
-    adds `units[(a, j)]`: +1 to l at (a, j), -1 to the target at (a, j) and
-    +1 at (a, j - 1).  No count of a reachable l or its target passes |k|,
-    so one unit more never carries out of a field of l, and it keeps l
+    the code of l in `lows`, |k| at each extension key of k, in the low
+    bits and, from bit `shift`, the code of the target k - l +
+    left_shift(l) in `columns` (`_column_layout(k)`, that of
+    `transport_walk`) with its guard bits set.  A unit of l at (a, j) adds
+    `units[(a, j)]`: +1 to l at (a, j), -1 to the target at (a, j) and +1
+    at (a, j - 1).  No count of a reachable l or its target passes |k|, so
+    one unit more never carries out of a field of l, and it keeps l
     reachable exactly while every guard bit stays set."""
 
-    __slots__ = ("k", "columns", "shift", "guard", "start", "offsets", "units",
-                 "low_fields", "target_fields")
+    __slots__ = ("k", "lows", "columns", "shift", "guard", "start", "units")
 
     def __init__(self, k: MultiIndex):
         self.k = k
         self.columns = columns = _column_layout(k)
         # A nonzero C forces l_j^a <= k_j^a + l_{j+1}^a, so the support of l,
         # its extension keys, is confined to 0 <= j <= max_index(a).
-        # The first key takes the top field of l, so that an int key sorts the
-        # states of one level as their l entry tuples (`_level_rows`).
-        keys = [key for key in columns.offsets if key[1] >= 0]
-        width = PackedLayout.field_width(k.degree())
-        self.shift = shift = len(keys) * width
-        self.low_fields = [(key, shift - (i + 1) * width, (1 << width) - 1)
-                           for i, key in enumerate(keys)]
+        self.lows = lows = PackedLayout(MultiIndex._raw(tuple([
+            entry for entry in columns.box.items() if entry[0][1] >= 0])))
+        self.shift = shift = lows.guard.bit_length()
         self.guard = columns.guard << shift
         self.start = (columns.code(k) << shift) + self.guard
-        offsets = self.offsets = {key: shift + offset
-                                  for key, offset in columns.offsets.items()}
-        count = (1 << width - 1) - 1     # a target field less its guard bit
-        self.target_fields = [(key, offset, count) for key, offset in offsets.items()]
-        self.units = {(a, j): (1 << low) + (1 << offsets[(a, j - 1)]) - (1 << offsets[(a, j)])
-                      for (a, j), low, _ in self.low_fields}
+        offsets = columns.offsets
+        self.units = {(a, j): (1 << low) + (1 << shift + offsets[(a, j - 1)])
+                      - (1 << shift + offsets[(a, j)]) for (a, j), low in lows.offsets.items()}
 
     def state(self, lowering: MultiIndex) -> Optional[int]:
         """The state of l, or None when a key of l is off the extension keys
@@ -136,11 +129,6 @@ class _LevelLayout:
         """The code of a state's target in `_column_layout(k)`."""
         return (state >> self.shift) - self.columns.guard
 
-    def lowering(self, state: int) -> MultiIndex:
-        """The l of a state."""
-        return MultiIndex._raw(tuple([(key, c) for key, offset, mask in self.low_fields
-                                      if (c := state >> offset & mask)]))
-
 
 def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
     """(layout, levels): the `_LevelLayout` of k and an iterator over levels
@@ -155,9 +143,10 @@ def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
     if max_order < 0:
         raise ValueError("order must be >= 0")
     layout = _LevelLayout(k)
-    guard, offsets = layout.guard, layout.offsets
+    guard, offsets, shift = layout.guard, layout.columns.offsets, layout.shift
     mask = (1 << k.degree().bit_length()) - 1     # a target count, less its guard bit
-    extensions = [(unit, offsets[(a, j - down)]) for (a, j), unit in layout.units.items()]
+    extensions = [(unit, shift + offsets[(a, j - down)])
+                  for (a, j), unit in layout.units.items()]
 
     def walk():
         level = {layout.start: first}
@@ -183,7 +172,7 @@ def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
 def _level(walk: tuple, r: int) -> tuple[_LevelLayout, dict]:
     # The layout and level r of one route's (layout, levels), {} past the last.
     layout, levels = walk
-    return layout, next(itertools.islice(levels, r, None), {})
+    return layout, next((level for order, level in enumerate(levels) if order == r), {})
 
 
 def _c_levels(k: MultiIndex, max_order: int):
@@ -200,40 +189,25 @@ def _d_levels(k: MultiIndex, max_order: int):
 
 def _as_multiindices(layout: _LevelLayout, levels,
                      max_order: int) -> list[dict[MultiIndex, int]]:
-    tables = [{layout.lowering(state): v for state, v in level.items()}
-              for level in levels]
+    decode = layout.lows.decode
+    tables = [{decode(state): v for state, v in level.items()} for level in levels]
     return tables + [{} for _ in range(max_order + 1 - len(tables))]
 
 
 def _level_rows(layout: _LevelLayout, level: dict) -> Iterator[tuple[tuple, tuple, int]]:
     """The rows (l, target, value) of one level, made one at a time in the
-    order of their l entry tuples, with l and the target as canonical entry
-    tuples ((a, j), c) read straight off the fields of each state: the one
-    converter of levels to rows.
-
-    Every l of a level has one degree, so field by field in key order a
-    nonzero count sorts before a zero and a smaller count first.  The sort
-    key maps each field of l, the first key's on top, c to c - 1 and 0 to
-    all ones, with no borrow across fields, as no count of l sets its top bit.
-    """
-    low_fields, target_fields = layout.low_fields, layout.target_fields
-    ones = sum(1 << offset for _, offset, _ in low_fields)
-    tops = ones << PackedLayout.field_width(layout.k.degree()) - 1
-    low = (1 << layout.shift) - 1
-    for state in sorted(level, key=lambda state: ((state & low | tops) - ones) ^ tops):
-        yield (tuple([(key, c) for key, offset, mask in low_fields
-                      if (c := state >> offset & mask)]),
-               tuple([(key, c) for key, offset, mask in target_fields
-                      if (c := state >> offset & mask)]),
-               level[state])
+    order of their l entry tuples (every l of a level has one degree), with
+    l and the target as canonical entry tuples ((a, j), c): the one
+    converter of levels to rows."""
+    lows, columns, target_code = layout.lows, layout.columns, layout.target_code
+    for state in sorted(level, key=lows.sort_key):
+        yield lows.entries(state), columns.entries(target_code(state)), level[state]
 
 
 def _level_targets(layout: _LevelLayout, level: dict) -> list[tuple[MultiIndex, int]]:
     """The rows (target, value) of one level, with l not decoded."""
-    target_fields = layout.target_fields
-    return [(MultiIndex._raw(tuple([(key, c) for key, offset, mask in target_fields
-                                    if (c := state >> offset & mask)])), v)
-            for state, v in level.items()]
+    decode, target_code = layout.columns.decode, layout.target_code
+    return [(decode(target_code(state)), v) for state, v in level.items()]
 
 
 def _level_terms(layout: _LevelLayout, level: dict

@@ -30,8 +30,9 @@ in (degree, entries) order, so both recursions run bottom-up;
 `profile_branch_multisets` is the same walk over every profile up to a
 degree at once, in the layout of `profile_box`, which the oracle uses to
 fill F and W of all its profiles in one pass.  `PackedLayout` is the one
-packed-int layout of a box {m <= box}; every packed path of the package
-encodes and decodes through it.
+packed-int codec of a box {m <= box}: every packed path of the package
+encodes, decodes, sorts and labels its codes through it, and no other
+module scans the fields of a code.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
-from typing import Container, Iterable, Iterator, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Optional, Union
 
 _ENTRY_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*):(-?\d+)=(\d+)\Z")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -367,27 +368,28 @@ class PackedLayout:
     Each entry of the box gets one field, one bit wider than its count, at
     bit `offsets[key]`; the top bit of the field is its guard bit, and
     `guard` is the mask of them all.  The first key of the box takes the
-    top field and the last key bit 0, so codes of one degree sort as their
-    entry tuples on one int key each (`series.series_rows`).  The code of m
-    is sum m_key << offsets[key].  The sum of two codes in the box fits in
+    top field and the last key bit 0.  The code of m is
+    sum m_key << offsets[key].  The sum of two codes in the box fits in
     every field, guard bit included, so codes add without a carry across
     fields.  For r and m in the box, m <= r exactly when
     ((code(r) | guard) - code(m)) has every guard bit set, and that
     difference less the guard is code(r - m).
     """
 
-    __slots__ = ("box", "offsets", "guard", "_fields")
+    __slots__ = ("box", "offsets", "guard", "_fields", "_mask", "_ones")
 
     def __init__(self, box: MultiIndex):
-        self.box, self.offsets, self._fields = box, {}, []
-        top = sum(self.field_width(c) for _, c in box.items())
-        self.guard = 0
-        for key, c in box.items():
-            width = self.field_width(c)
-            self.guard |= 1 << (top - 1)
+        widths = [self.field_width(c) for _, c in box.items()]
+        top = sum(widths)
+        self.box, self.offsets, self._mask = box, {}, (1 << top) - 1
+        guard, offsets, fields = 0, self.offsets, []
+        for (key, _), width in zip(box.items(), widths):
+            guard |= 1 << (top - 1)
             top -= width
-            self.offsets[key] = top
-            self._fields.append((key, top, (1 << width) - 1))
+            offsets[key] = top
+            fields.append((key, top, (1 << width) - 1))
+        # Each field starts just above the guard bit of the one below it.
+        self.guard, self._fields, self._ones = guard, fields, (guard << 1 | 1) & self._mask
 
     @staticmethod
     def field_width(count: int) -> int:
@@ -400,10 +402,50 @@ class PackedLayout:
             code += c << offsets[key]
         return code
 
+    def entries(self, code: int) -> tuple:
+        """The canonical entry tuple of the m of a code whose guard bits are
+        clear, read field by field; bits above the layout are ignored."""
+        return tuple([(key, c) for key, offset, mask in self._fields
+                      if (c := code >> offset & mask)])
+
     def decode(self, code: int) -> MultiIndex:
-        """The multi-index of an in-box code whose guard bits are clear."""
-        return MultiIndex._raw(tuple((key, c) for key, offset, mask in self._fields
-                                     if (c := code >> offset & mask)))
+        """The multi-index of a code, as `entries` reads it."""
+        return MultiIndex._raw(self.entries(code))
+
+    def sort_key(self, code: int) -> int:
+        """An int key that sorts the codes of one degree as their entry
+        tuples, ignoring bits above the layout.
+
+        All m of one degree have one total count, so field by field from the
+        top a nonzero count sorts before a zero and a smaller count first.
+        The key maps each field c to c - 1 and 0 to all ones,
+        ((code | guard) - ones) ^ guard, with no borrow across fields, as
+        no count of the box sets its guard bit."""
+        return ((code & self._mask | self.guard) - self._ones) ^ self.guard
+
+    def reader(self, label: Callable[[tuple[str, int], int], object]
+               ) -> Callable[[int], tuple]:
+        """A reader of in-box codes, guard bits clear, to the tuples of
+        label(key, c) over the entries (key, c) of `entries`.  It reads a
+        code from its top set bit down, one nonzero field at a time, with
+        each label made here once per (field, count): a table as large as
+        the box's counts, so `entries` serves boxes of large counts."""
+        # field[b]: the offset, the mask of the bits below it and the labels
+        # by count of the field that holds bit b - 1.
+        field: list = [None] * (self.guard.bit_length() + 1)
+        for key, count in self.box.items():
+            offset, width = self.offsets[key], self.field_width(count)
+            names = [None] + [label(key, c) for c in range(1, count + 1)]
+            field[offset + 1:offset + width + 1] = [(offset, (1 << offset) - 1, names)] * width
+
+        def read(code: int) -> tuple:
+            labels, rest = [], code
+            while rest:
+                offset, below, names = field[rest.bit_length()]
+                labels.append(names[rest >> offset])
+                rest &= below
+            return tuple(labels)
+        return read
 
     def symmetry_factor(self, code: int) -> int:
         """m! for the m of an in-box code: the product of the factorials of
@@ -416,7 +458,7 @@ class PackedLayout:
     def slack(self, r: int) -> int:
         """The code that fills each field up to its guard bit less the count
         of box // r: the code s is in that box iff (s + slack(r)) & guard == 0."""
-        fill = (1 << self.guard.bit_length()) - 1 - self.guard
+        fill = self._mask - self.guard
         return fill - sum((c // r) << self.offsets[key] for key, c in self.box.items())
 
 

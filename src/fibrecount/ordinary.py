@@ -71,8 +71,8 @@ def ordinary_count(k: MultiIndex) -> int:
     degree."""
     if k.weight() != -1:
         raise ValueError("weight must be -1")
-    top = solve_graded(k, k.degree(), False)[-1]
-    return top.get(PackedLayout(k).code(k), 0)
+    layout = PackedLayout(k)
+    return solve_graded(layout, k.degree(), False)[-1].get(layout.code(k), 0)
 
 
 # (F, W) of every profile met so far.  A call fills it bottom-up over the

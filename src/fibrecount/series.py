@@ -25,10 +25,10 @@ dicts of integer coefficients over monomials packed in one layout
 those below d (van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
 W solves the F equation with every p_r, r >= 2, set to zero, for L = d! W.
 `series_rows` is the one converter of that solve to rows in print order:
-it sorts each degree's codes on one int key and reads each monomial off
-its code as labels made once per (field, count), so the `series` command
-prints with no `MultiIndex` or `Fraction` built per term, and
-`solve_series` builds its `TruncatedSeries` from the same rows.
+it sorts each degree's codes and reads each one's labels through the
+solve's layout, so the `series` command prints with no `MultiIndex` or
+`Fraction` built per term, and `solve_series` builds its
+`TruncatedSeries` from the same rows.
 """
 
 from __future__ import annotations
@@ -210,16 +210,15 @@ def attach_roots(ladder: Sequence, alphabet: Iterable[str],
     return TruncatedSeries._trusted(bound, {k: c for k, c in out.items() if c})
 
 
-def solve_graded(box: MultiIndex, degree: int, labelled: bool) -> list[dict[int, int]]:
+def solve_graded(layout: PackedLayout, degree: int, labelled: bool) -> list[dict[int, int]]:
     """Degrees 0..degree of the solution T of the cycle-index equation
     T = sum_{a,j} u_{a,j} Z_{j+1}(T(u), T(u^2), ...) truncated to the box
-    {m <= box}, each as a dict code -> coefficient in `PackedLayout(box)`.
+    {m <= box} of `layout`, each as a dict code -> coefficient in it.
     Every coefficient is >= 0, so the truncation is exact.  With
     `labelled`, every p_r, r >= 2, is zero: T is W, held as L = d! W."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    layout = PackedLayout(box)
-    offsets, guard = layout.offsets, layout.guard
+    box, offsets, guard = layout.box, layout.offsets, layout.guard
     top = max(1, max(j for (_, j), _ in box.items()) + 1)     # a leaf still needs p_1
     powers = 1 if labelled else top
     slack = [0] + [layout.slack(r) for r in range(1, powers + 1)]
@@ -274,48 +273,27 @@ def series_rows(alphabet: Iterable[str], max_degree: int, labelled: bool,
     (labels, num, den) made one at a time in print order: by degree, and
     within a degree in the order of the monomials' entry tuples.  labels
     holds label(key, c) for each entry (key, c) of the monomial in key
-    order, each made once per call; num/den is the coefficient in lowest
-    terms, L / d! at degree d if labelled, else F / 1.  The one converter of
-    the graded solve to rows: the solve runs before the first row.
-
-    Profiles of degree <= n have j <= n - 2 and no count above n, so the
-    box with n at every such key cuts no term.  Its layout puts the first
-    key in the top field, and every monomial of one degree has the same
-    total count, so field by field from the top a nonzero count sorts
-    before a zero and a smaller count first.  The sort key maps each field
-    c to c - 1 and 0 to all ones, ((code | guard) - ones) ^ guard, with no
-    borrow across fields, as no count of the box sets its guard bit.  A
-    code is read from its top set bit down, one nonzero field at a time.
+    order, each made once per call (`PackedLayout.reader`); num/den is the
+    coefficient in lowest terms, L / d! at degree d if labelled, else F / 1.
+    The one converter of the graded solve to rows: the solve runs before
+    the first row.  Profiles of degree <= n have j <= n - 2 and no count
+    above n, so the box with n at every such key cuts no term.
     """
-    box = profile_box(alphabet, max_degree)
-    levels = solve_graded(box, max_degree, labelled)
-    layout = PackedLayout(box)
-    guard = layout.guard
-    ones = sum(1 << offset for offset in layout.offsets.values())
-    # field[b]: the offset, the mask of the bits below it and the labels
-    # by count of the field that holds bit b - 1.
-    field: list = [None] * (guard.bit_length() + 1)
-    for key, count in box.items():
-        offset, width = layout.offsets[key], PackedLayout.field_width(count)
-        names = [None] + [label(key, c) for c in range(1, count + 1)]
-        field[offset + 1:offset + width + 1] = [(offset, (1 << offset) - 1, names)] * width
+    layout = PackedLayout(profile_box(alphabet, max_degree))
+    levels = solve_graded(layout, max_degree, labelled)
+    read, sort_key = layout.reader(label), layout.sort_key
 
     def rows():
         fact = 1
         for d, level in enumerate(levels):
             fact *= d or 1
-            for code in sorted(level, key=lambda code: ((code | guard) - ones) ^ guard):
-                labels, rest = [], code
-                while rest:
-                    offset, below, names = field[rest.bit_length()]
-                    labels.append(names[rest >> offset])
-                    rest &= below
+            for code in sorted(level, key=sort_key):
                 v = level[code]
                 if labelled:
                     g = math.gcd(v, fact)
-                    yield tuple(labels), v // g, fact // g
+                    yield read(code), v // g, fact // g
                 else:
-                    yield tuple(labels), v, 1
+                    yield read(code), v, 1
     return rows()
 
 

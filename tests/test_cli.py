@@ -124,6 +124,13 @@ def test_lower_past_the_largest_drop_is_empty_at_once(capsys):
     code, out, _ = run(capsys, "lower", "a:0=2", "100000000000", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"k": "a:0=2", "r": 100000000000, "terms": []}
+    # Past sys.maxsize too.
+    for r in (sys.maxsize, sys.maxsize + 1):
+        code, out, _ = run(capsys, "lower", "a:-1=1,a:0=1", str(r))
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "lower", "a:-1=1,a:0=1", str(r), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"k": "a:-1=1,a:0=1", "r": r, "terms": []}
     assert time.perf_counter() - start < 1
 
 
@@ -442,6 +449,16 @@ GOLDEN = [
      "760e8c1cd9812be33f75a47c5d01df495ca02eabd6732a83c7f7d920a5e3620f"),
     (("series", "weighted", "--max-degree", "1", "--alphabet", "a", "--format", "json"),
      "b577536a82847b45a552cd30c7781063e48d9e2c8bab133be72350fecde61579"),
+] + [
+    # Recorded before the level states moved onto two `PackedLayout`s: a
+    # decoration (a) with no extension key, and the empty monomial.
+    (("lower", "a:-1=2,b:1=1,b:2=2", "3"),
+     "2006397dd012a937c534f8c737c40e23347d90fa18c5f170ab2e873c324ba707"),
+    (("lower", "a:-1=2,b:1=1,b:2=2", "3", "--format", "json"),
+     "52f635822db20f5933f90b6c4f3c48f57e9bc3170df4d48e6e27c271a547013f"),
+    (("lower", "0", "0"), "7bf16246a546af2db79a0a49d275fc8967064d7dc3d4f6b06e95bd1ceb5089ea"),
+    (("lower", "0", "0", "--format", "json"),
+     "e735cc0a2892e4a3319de66416ccd320f45560232b2c167783e0e6119db0f2f3"),
 ]
 
 
@@ -723,6 +740,65 @@ def test_closed_stdout_pipe_exits_141_quietly(argv):
         proc.wait()
         proc.stderr.close()
     assert err == b""
+
+
+# -- exit codes ----------------------------------------------------------------------
+
+CLI_KEYS = [(a, j) for a in "ab" for j in range(-1, 3)]
+
+
+@st.composite
+def cli_argvs(draw):
+    # Small inputs of four commands, valid or not; counts on both sides of
+    # a field-width boundary.
+    monomials = st.one_of(
+        st.dictionaries(st.sampled_from(CLI_KEYS), st.sampled_from((1, 2, 3, 4, 7, 8)),
+                        max_size=3).map(lambda d: str(MultiIndex(d))),
+        st.sampled_from(CO_PROFILES).map(str))
+    command = draw(st.sampled_from(("lower", "transition", "coproduct", "series")))
+    if command == "lower":
+        orders = st.one_of(st.integers(-1, 6), st.just(2 ** 63))
+        argv = [command, draw(monomials), str(draw(orders))]
+    elif command == "transition":
+        argv = [command, draw(monomials), draw(monomials)]
+    elif command == "coproduct":
+        argv = [command, draw(monomials), draw(st.sampled_from(FORMS))]
+    else:
+        argv = [command, draw(st.sampled_from(("ordinary", "weighted"))),
+                "--max-degree", str(draw(st.integers(-1, 5))),
+                "--alphabet", draw(st.sampled_from(("a", "a,b")))]
+    return argv + draw(st.sampled_from(([], ["--format", "json"])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argvs())
+@example(["lower", "0", "0"])
+@example(["transition", "0", "0"])
+@example(["coproduct", "0"])
+@example(["lower", "a:-1=2,b:-1=1", "2"])
+@example(["coproduct", "a:-1=1,b:-1=1", "refined-C"])
+@example(["lower", "a:0=7,a:1=8", "3", "--format", "json"])
+@example(["transition", "a:0=15,a:1=16", "a:-1=16,a:0=15"])
+@example(["coproduct", "a:-1=4,a:0=3,a:1=3", "refined-D"])
+@example(["series", "weighted", "--max-degree", "13"])
+@example(["lower", "a:-1=1,a:0=1", str(2 ** 63)])
+def test_cli_exits_with_a_documented_code(argv):
+    # An answer (0), bad text (2), a bad value (3) or a cap (4); never an
+    # oracle mismatch (1) or an internal error (5).  Every input here
+    # parses, and only a negative order or degree, a weight other than -1
+    # or a degree past the cap has no answer.
+    with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(_Discard()):
+        code = main(argv)
+    command = argv[0]
+    if command == "lower":
+        expected = 0 if int(argv[2]) >= 0 else 3
+    elif command == "coproduct":
+        expected = 0 if MultiIndex.parse(argv[1]).weight() == -1 else 3
+    elif command == "series":
+        expected = 4 if int(argv[3]) > 12 else 0 if int(argv[3]) >= 1 else 3
+    else:
+        expected = 0
+    assert code == expected, argv
 
 
 # -- module entry point ----------------------------------------------------------------

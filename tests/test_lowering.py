@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -272,6 +273,9 @@ def test_level_rows_edge_cases():
     assert c_coefficient_level(MultiIndex(), 0) == [(MultiIndex(), MultiIndex(), 1)]
     assert d_coefficient_level(MultiIndex(), 0) == [(MultiIndex(), MultiIndex(), 1)]
     assert c_coefficient_level(MultiIndex(), 2) == []
+    # any order past the walk's end, sys.maxsize and beyond
+    for r in (sys.maxsize, sys.maxsize + 1, 2 ** 100):
+        assert c_coefficient_level(mi("a:0=1"), r) == d_coefficient_level(k, r) == []
     with pytest.raises(ValueError):
         c_coefficient_level(k, -1)
 

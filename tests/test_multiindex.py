@@ -181,14 +181,33 @@ def _fields(layout, code):
 def test_layout_decodes_every_code_in_the_box(shape, c):
     box = mi(shape.format(c=c))
     layout = PackedLayout(box)
+    read = layout.reader(lambda key, count: (key, count))
+    above = 0b101 << layout.guard.bit_length()
     codes = set()
     for m in _in_box(box):
         code = layout.code(m)
         assert code & layout.guard == 0
         assert layout.decode(code) == m
+        assert layout.entries(code) == layout.entries(code | above) == read(code) == m.items()
         assert layout.symmetry_factor(code) == m.symmetry_factor()
         codes.add(code)
     assert len(codes) == math.prod(count + 1 for _, count in box.items())
+
+
+@pytest.mark.parametrize("c", LAYOUT_COUNTS)
+@pytest.mark.parametrize("shape", LAYOUT_BOXES)
+def test_layout_sort_key_orders_each_degree_as_entry_tuples(shape, c):
+    box = mi(shape.format(c=c))
+    layout = PackedLayout(box)
+    above = 0b101 << layout.guard.bit_length()
+    by_degree: dict[int, list] = {}
+    for m in _in_box(box):
+        by_degree.setdefault(m.degree(), []).append(m)
+    for ms in by_degree.values():
+        codes = [layout.code(m) for m in ms]
+        assert sorted(codes, key=layout.sort_key) == [layout.code(m) for m in sorted(ms)]
+        assert [layout.sort_key(code | above) for code in codes] \
+            == [layout.sort_key(code) for code in codes]
 
 
 @pytest.mark.parametrize("c", LAYOUT_COUNTS)
