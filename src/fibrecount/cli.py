@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional
 
-from .multiindex import (MultiIndex, ParseError, entries_text, enumerate_multiindices,
+from .multiindex import (MultiIndex, ParseError, entry_label, enumerate_multiindices,
                          enumerate_profiles, find_shift, is_valid_decoration)
 from .trees import fibre_statistics, labelled_fertility_counts
 from .weighted import (prescribed_fertility_count, weighted_counts,
@@ -165,8 +165,7 @@ def cmd_series(args) -> int:
             f"degree {args.max_degree} exceeds cap {SERIES_DEGREE_CAP}"
             " (use --force to override)")
     labelled = args.mode == "weighted"
-    rows = series_rows(alphabet, args.max_degree, labelled,
-                       lambda key, c: f"{key[0]}:{key[1]}={c}")
+    rows = series_rows(alphabet, args.max_degree, labelled, entry_label)
     return _write_rows(
         args.format, {"mode": args.mode, "alphabet": list(alphabet),
                       "max_degree": args.max_degree, "coefficients": []},
@@ -181,11 +180,11 @@ def cmd_lower(args) -> int:
     k = MultiIndex.parse(args.k)
     return _write_rows(
         args.format, {"k": str(k), "r": args.r, "terms": []},
-        _level_rows(*_level(_c_levels(k, args.r), args.r)),
+        _level_rows(*_level(_c_levels(k, args.r), args.r), entry_label),
         lambda low, target, c:
-            f"l = {entries_text(low)}, C = {c}, target = {entries_text(target)}\n",
+            f"l = {','.join(low) or '0'}, C = {c}, target = {','.join(target) or '0'}\n",
         lambda low, target, c:
-            {"l": entries_text(low), "C": c, "target": entries_text(target)})
+            {"l": ",".join(low) or "0", "C": c, "target": ",".join(target) or "0"})
 
 
 def cmd_transition(args) -> int:
@@ -205,7 +204,7 @@ def cmd_transition(args) -> int:
 
 def cmd_coproduct(args) -> int:
     k = MultiIndex.parse(args.k)
-    stream = coproduct_stream(k, args.form, args.decomposition, args.forest_sigma)
+    stream = coproduct_stream(k, args.form, args.decomposition, args.forest_sigma, text=True)
     texts: dict = {}     # each part's text, made once per call
 
     def rows():
@@ -215,7 +214,7 @@ def cmd_coproduct(args) -> int:
                     texts[part] = str(part)
             left = " * ".join(f"[{texts[p]}]^{m}" if m > 1 else f"[{texts[p]}]"
                               for p, m in forest) or "1"
-            for _, right, n, d in leg:
+            for right, n, d in leg:
                 g = math.gcd(n * num, d * den)
                 yield forest, left, right, n * num // g, d * den // g
     return _write_rows(

@@ -8,16 +8,19 @@ order r of C[k,l] * x^(k - l + left_shift(l)), where the plain coefficients
 C and the factorial-normalized D = C * target! each satisfy their own
 one-step recursion.  Each route walks per-k levels of packed states
 (`_levels`, level r from level r - 1, up to the last nonempty level, which
-the largest drop bounds), one int per (target, l) in a `_LevelLayout` of
-k built once per call, where a unit of l is one add and its reachability
-one guard-bit test; no memo is kept across calls.  A state is two
+the largest drop bounds), one int per (target, l) in a `_LevelLayout`
+built once per call, where a unit of l is one add and its reachability
+one guard-bit test; no memo is kept across calls.  The layout of k also
+holds the walk of every b <= k, from b's own start, so the refined
+coproduct legs of all the remainders of k share one.  A state is two
 `PackedLayout` codes, l below the target, through which every reader
 decodes and sorts, and a reader of one order holds only that level:
-`_level_rows` makes rows (l, target, value) of canonical entry tuples one
-at a time, sorted by l, which `lower` prints
-(`multiindex.entries_text`) as they come, with no `MultiIndex` built;
+`_level_rows` makes rows (l, target, value) one at a time, sorted by l,
+with l and the target read off their codes by one `PackedLayout.reader`
+per layout, as labels that `lower` joins into text
+(`multiindex.entry_label`) with no `MultiIndex` or entry tuple built;
 `c_coefficient_level` and `d_coefficient_level` make both multi-indices
-(`_level_terms`), and the refined coproduct legs only the target
+(`_level_terms`), and the refined coproduct legs keep target codes
 (`_level_targets`).
 The generating function in an auxiliary variable u factorizes over the
 entries of k; its (k, b) coefficient is a sum over transport arrays, for
@@ -38,10 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .multiindex import MultiIndex, PackedLayout, apply_shift
 
+T = TypeVar("T")
 Polynomial = dict  # MultiIndex -> int | Fraction
 UPolynomial = dict  # int degree -> Fraction
 
@@ -95,7 +99,12 @@ class _LevelLayout:
     `units[(a, j)]`: +1 to l at (a, j), -1 to the target at (a, j) and +1
     at (a, j - 1).  No count of a reachable l or its target passes |k|, so
     one unit more never carries out of a field of l, and it keeps l
-    reachable exactly while every guard bit stays set."""
+    reachable exactly while every guard bit stays set.
+
+    The walk of any b <= k runs in this layout too, from `begin(b)`: b's
+    keys, its columns and every count are within k's, and a unit at a key
+    where b's target has no count borrows that field's guard bit, so the
+    states of b here are those of b's own layout."""
 
     __slots__ = ("k", "lows", "columns", "shift", "guard", "start", "units")
 
@@ -108,10 +117,14 @@ class _LevelLayout:
             entry for entry in columns.box.items() if entry[0][1] >= 0])))
         self.shift = shift = lows.guard.bit_length()
         self.guard = columns.guard << shift
-        self.start = (columns.code(k) << shift) + self.guard
+        self.start = self.begin(k)
         offsets = columns.offsets
         self.units = {(a, j): (1 << low) + (1 << shift + offsets[(a, j - 1)])
                       - (1 << shift + offsets[(a, j)]) for (a, j), low in lows.offsets.items()}
+
+    def begin(self, b: MultiIndex) -> int:
+        """The state of l = 0 and target b, for b <= k."""
+        return (self.columns.code(b) << self.shift) + self.guard
 
     def state(self, lowering: MultiIndex) -> Optional[int]:
         """The state of l, or None when a key of l is off the extension keys
@@ -130,11 +143,13 @@ class _LevelLayout:
         return (state >> self.shift) - self.columns.guard
 
 
-def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
-    """(layout, levels): the `_LevelLayout` of k and an iterator over levels
-    0..max_order of one route's recursion, dicts state -> value, that holds
-    one level at a time and ends at the last nonempty one, which the largest
-    drop sum (j + 1) * k_j^a bounds; `_level` reads any order.
+def _levels(b: MultiIndex, max_order: int, first: int, down: int, plus: int,
+            layout: Optional[_LevelLayout] = None):
+    """(layout, levels): `layout`, a `_LevelLayout` of some k >= b (b's own
+    if None), and an iterator over levels 0..max_order of one route's
+    recursion for b, dicts state -> value walked from `layout.begin(b)`,
+    that holds one level at a time and ends at the last nonempty one, which
+    the largest drop sum (j + 1) * b_j^a bounds; `_level` reads any order.
 
     Level r extends each state of level r - 1 by one unit at each key
     (a, j) and adds prior * step to the new state, the step being the target
@@ -142,14 +157,15 @@ def _levels(k: MultiIndex, max_order: int, first: int, down: int, plus: int):
     """
     if max_order < 0:
         raise ValueError("order must be >= 0")
-    layout = _LevelLayout(k)
+    if layout is None:
+        layout = _LevelLayout(b)
     guard, offsets, shift = layout.guard, layout.columns.offsets, layout.shift
-    mask = (1 << k.degree().bit_length()) - 1     # a target count, less its guard bit
+    mask = (1 << layout.k.degree().bit_length()) - 1     # a target count, less its guard bit
     extensions = [(unit, shift + offsets[(a, j - down)])
                   for (a, j), unit in layout.units.items()]
 
     def walk():
-        level = {layout.start: first}
+        level = {layout.begin(b): first}
         for _ in range(max_order):
             yield level
             prev, level = level, {}
@@ -175,16 +191,16 @@ def _level(walk: tuple, r: int) -> tuple[_LevelLayout, dict]:
     return layout, next((level for order, level in enumerate(levels) if order == r), {})
 
 
-def _c_levels(k: MultiIndex, max_order: int):
-    # C[k,0] = 1; the step at (a,j) is k_j^a - l_j^a + 1 + l_{j+1}^a, the
+def _c_levels(b: MultiIndex, max_order: int, layout: Optional[_LevelLayout] = None):
+    # C[b,0] = 1; the step at (a,j) is b_j^a - l_j^a + 1 + l_{j+1}^a, the
     # target count at (a,j) before the unit: the count after it, plus one.
-    return _levels(k, max_order, 1, 0, 1)
+    return _levels(b, max_order, 1, 0, 1, layout)
 
 
-def _d_levels(k: MultiIndex, max_order: int):
-    # D[k,0] = k!; the step at (a,j) is k_{j-1}^a - l_{j-1}^a + l_j^a, the
+def _d_levels(b: MultiIndex, max_order: int, layout: Optional[_LevelLayout] = None):
+    # D[b,0] = b!; the step at (a,j) is b_{j-1}^a - l_{j-1}^a + l_j^a, the
     # target count at (a,j-1) after the unit.
-    return _levels(k, max_order, k.symmetry_factor(), 1, 0)
+    return _levels(b, max_order, b.symmetry_factor(), 1, 0, layout)
 
 
 def _as_multiindices(layout: _LevelLayout, levels,
@@ -194,27 +210,32 @@ def _as_multiindices(layout: _LevelLayout, levels,
     return tables + [{} for _ in range(max_order + 1 - len(tables))]
 
 
-def _level_rows(layout: _LevelLayout, level: dict) -> Iterator[tuple[tuple, tuple, int]]:
+def _level_rows(layout: _LevelLayout, level: dict, label: Callable[[tuple[str, int], int], T]
+                ) -> Iterator[tuple[tuple[T, ...], tuple[T, ...], int]]:
     """The rows (l, target, value) of one level, made one at a time in the
     order of their l entry tuples (every l of a level has one degree), with
-    l and the target as canonical entry tuples ((a, j), c): the one
+    l and the target as the tuples of label(key, c) over their entries in
+    key order, each made by one `PackedLayout.reader` per layout: the one
     converter of levels to rows."""
-    lows, columns, target_code = layout.lows, layout.columns, layout.target_code
-    for state in sorted(level, key=lows.sort_key):
-        yield lows.entries(state), columns.entries(target_code(state)), level[state]
+    read_low, read_target = layout.lows.reader(label), layout.columns.reader(label)
+    shift, guard = layout.shift, layout.columns.guard
+    low_bits = (1 << shift) - 1
+    for state in sorted(level, key=layout.lows.sort_key):
+        yield read_low(state & low_bits), read_target((state >> shift) - guard), level[state]
 
 
-def _level_targets(layout: _LevelLayout, level: dict) -> list[tuple[MultiIndex, int]]:
-    """The rows (target, value) of one level, with l not decoded."""
-    decode, target_code = layout.columns.decode, layout.target_code
-    return [(decode(target_code(state)), v) for state, v in level.items()]
+def _level_targets(layout: _LevelLayout, level: dict) -> dict[int, int]:
+    """One level as target code in `layout.columns` -> value, with l not
+    read: each target is reached by one l."""
+    shift, guard = layout.shift, layout.columns.guard
+    return {(state >> shift) - guard: v for state, v in level.items()}
 
 
 def _level_terms(layout: _LevelLayout, level: dict
                  ) -> list[tuple[MultiIndex, MultiIndex, int]]:
     """The rows (l, target, value) of one level (`_level_rows`)."""
     return [(MultiIndex._raw(low), MultiIndex._raw(target), v)
-            for low, target, v in _level_rows(layout, level)]
+            for low, target, v in _level_rows(layout, level, lambda key, c: (key, c))]
 
 
 def _lookup(k: MultiIndex, lowering: MultiIndex, levels_fn) -> int:

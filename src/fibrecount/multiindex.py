@@ -14,9 +14,10 @@ Text format, bit-exact in both directions::
     entry      := decoration ":" j "=" count        e.g.  "a:-1=2,a:1=1"
 
 Formatting always emits canonical order; parsing accepts entries in any
-order but rejects duplicate ``(decoration, j)`` keys.  `entries_text` is
-the one formatter: it prints a canonical entry tuple, so callers that hold
-entries print them with no `MultiIndex` built.
+order but rejects duplicate ``(decoration, j)`` keys.  `entries_text`
+prints a canonical entry tuple and `entry_label` one entry: the label with
+which a `PackedLayout.reader` reads codes as text, so the packed paths
+print with no `MultiIndex` built.
 
 One walker, `multiindices_of_degree`, serves the box
 (`enumerate_multiindices`), the weight -1 profiles (`enumerate_profiles`)
@@ -229,6 +230,12 @@ def entries_text(entries: tuple) -> str:
     return ",".join([f"{a}:{j}={c}" for (a, j), c in entries])
 
 
+def entry_label(key: tuple[str, int], count: int) -> str:
+    """The text of one entry, the label a `PackedLayout.reader` takes to
+    read codes as text: the text of m is ``",".join(labels) or "0"``."""
+    return f"{key[0]}:{key[1]}={count}"
+
+
 @cache
 def unit(decoration: str, j: int) -> MultiIndex:
     """The unit multi-index e_j^a."""
@@ -361,6 +368,9 @@ def iter_profile_parts(k: MultiIndex) -> list[MultiIndex]:
     return sorted(multiindices_of_degree(keys, None, -1, k), key=MultiIndex.sort_key)
 
 
+READER_TABLE = 64     # `PackedLayout.reader` makes the labels of smaller counts up front
+
+
 class PackedLayout:
     """The packed-int layout of the multi-indices m <= box: packed
     exponent vectors (Monagan and Pearce, CASC 2007).
@@ -427,22 +437,26 @@ class PackedLayout:
                ) -> Callable[[int], tuple]:
         """A reader of in-box codes, guard bits clear, to the tuples of
         label(key, c) over the entries (key, c) of `entries`.  It reads a
-        code from its top set bit down, one nonzero field at a time, with
-        each label made here once per (field, count): a table as large as
-        the box's counts, so `entries` serves boxes of large counts."""
-        # field[b]: the offset, the mask of the bits below it and the labels
-        # by count of the field that holds bit b - 1.
+        code from its top set bit down, one nonzero field at a time.  Each
+        label of a count below `READER_TABLE` is made here, once per
+        (field, count); a larger count is labelled as it is read, so the
+        reader of a box of huge counts costs no more than its codes."""
+        # field[b]: the offset, the mask of the bits below it, the key and
+        # the labels by count of the field that holds bit b - 1.
         field: list = [None] * (self.guard.bit_length() + 1)
         for key, count in self.box.items():
             offset, width = self.offsets[key], self.field_width(count)
-            names = [None] + [label(key, c) for c in range(1, count + 1)]
-            field[offset + 1:offset + width + 1] = [(offset, (1 << offset) - 1, names)] * width
+            names = [None] + [label(key, c) for c in range(1, min(count + 1, READER_TABLE))]
+            field[offset + 1:offset + width + 1] = [(offset, (1 << offset) - 1, key, names)] * width
 
         def read(code: int) -> tuple:
             labels, rest = [], code
             while rest:
-                offset, below, names = field[rest.bit_length()]
-                labels.append(names[rest >> offset])
+                offset, below, key, names = field[rest.bit_length()]
+                try:
+                    labels.append(names[rest >> offset])
+                except IndexError:
+                    labels.append(label(key, rest >> offset))
                 rest &= below
             return tuple(labels)
         return read

@@ -168,7 +168,74 @@ def test_lower_json_rows_are_the_text_lines_in_l_order(k, r):
     assert all(a < b for a, b in zip(lows, lows[1:])), (k, r)
 
 
+def _parsed(text):
+    # A printed monomial parses back and prints as it was printed.
+    m = MultiIndex.parse(text)
+    assert str(m) == text
+    return m
+
+
+def _decoration_degrees(m, times=1):
+    out = {}
+    for (a, _), c in m.items():
+        out[a] = out.get(a, 0) + c * times
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_monomials(), st.integers(0, 6))
+@example(MultiIndex.parse("a:0=255"), 2)
+@example(MultiIndex(), 0)
+def test_lower_rows_parse_back(k, r):
+    # Every printed l and target, in text and in JSON, parses back: the
+    # target is the shift of l, and C is the C level's value at l.
+    c_level = {low: (target, c) for low, target, c in c_coefficient_level(k, r)}
+    lines = _stdout("lower", str(k), str(r)).splitlines()
+    terms = json.loads(_stdout("lower", str(k), str(r), "--format", "json"))["terms"]
+    assert len(lines) == len(terms) == len(c_level)
+    for line, term in zip(lines, terms):
+        low_text, c_text, target_text = line.split(", ")
+        rows = ((low_text.removeprefix("l = "), int(c_text.removeprefix("C = ")),
+                 target_text.removeprefix("target = ")),
+                (term["l"], term["C"], term["target"]))
+        for low, c, target in rows:
+            low, target = _parsed(low), _parsed(target)
+            assert target == apply_shift(k, low) and c_level[low] == (target, c), (k, r)
+
+
 CO_PROFILES = enumerate_profiles(("a", "b"), 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CO_PROFILES))
+@example(MultiIndex.parse("a:-1=1"))
+@example(MultiIndex.parse("a:-1=4,a:0=3,a:1=3"))
+def test_coproduct_rows_parse_back(k):
+    # Every printed forest part and right monomial, in each form, in text
+    # and in JSON, parses back: each part has weight -1, and per decoration
+    # the parts' degrees times their multiplicities and the right
+    # monomial's degree add up to k's.
+    for form in FORMS:
+        rows = []
+        for line in _stdout("coproduct", str(k), form).splitlines():
+            left, rest = line.split(" (x) ")
+            parts = [] if left == "1" else [
+                (text[1:-1], 1) if text.endswith("]") else
+                (text[1:text.index("]")], int(text[text.index("]^") + 2:]))
+                for text in left.split(" * ")]
+            rows.append((parts, rest.split(" : ")[0]))
+        payload = json.loads(_stdout("coproduct", str(k), form, "--format", "json"))
+        assert len(payload["terms"]) == len(rows)
+        rows += [([(p["k"], p["mult"]) for p in t["forest"]], t["right"])
+                 for t in payload["terms"]]
+        for parts, right in rows:
+            total = _decoration_degrees(_parsed(right))
+            for text, mult in parts:
+                part = _parsed(text)
+                assert part.weight() == -1 and mult >= 1, (k, form)
+                for a, c in _decoration_degrees(part, mult).items():
+                    total[a] = total.get(a, 0) + c
+            assert total == _decoration_degrees(k), (k, form)
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,14 +816,23 @@ CLI_KEYS = [(a, j) for a in "ab" for j in range(-1, 3)]
 
 @st.composite
 def cli_argvs(draw):
-    # Small inputs of four commands, valid or not; counts on both sides of
+    # Small inputs of every command, valid or not; counts on both sides of
     # a field-width boundary.
     monomials = st.one_of(
         st.dictionaries(st.sampled_from(CLI_KEYS), st.sampled_from((1, 2, 3, 4, 7, 8)),
                         max_size=3).map(lambda d: str(MultiIndex(d))),
         st.sampled_from(CO_PROFILES).map(str))
-    command = draw(st.sampled_from(("lower", "transition", "coproduct", "series")))
-    if command == "lower":
+    command = draw(st.sampled_from(("lower", "transition", "coproduct", "series",
+                                    "count", "oracle")))
+    if command == "count":
+        argv = [command, draw(monomials)]
+    elif command == "oracle":
+        # The oracle runs only up to max_n 3; past a cap it exits first.
+        runs = st.tuples(st.integers(-1, 3), st.sampled_from(("a", "a,b"))).map(
+            lambda run: ["--max-n", str(run[0]), "--alphabet", run[1]])
+        argv = [command] + draw(st.one_of(runs, st.just(["--max-n", "9"]),
+                                          st.just(["--alphabet", "a,b,c"])))
+    elif command == "lower":
         orders = st.one_of(st.integers(-1, 6), st.just(2 ** 63))
         argv = [command, draw(monomials), str(draw(orders))]
     elif command == "transition":
@@ -782,18 +858,27 @@ def cli_argvs(draw):
 @example(["coproduct", "a:-1=4,a:0=3,a:1=3", "refined-D"])
 @example(["series", "weighted", "--max-degree", "13"])
 @example(["lower", "a:-1=1,a:0=1", str(2 ** 63)])
+@example(["count", "0"])
+@example(["count", "a:-1=8,a:1=7", "--format", "json"])
+@example(["oracle", "--max-n", "0", "--alphabet", "a"])
+@example(["oracle", "--max-n", "3", "--alphabet", "a,b"])
+@example(["oracle", "--max-n", "9"])
+@example(["oracle", "--alphabet", "a,b,c"])
 def test_cli_exits_with_a_documented_code(argv):
     # An answer (0), bad text (2), a bad value (3) or a cap (4); never an
     # oracle mismatch (1) or an internal error (5).  Every input here
-    # parses, and only a negative order or degree, a weight other than -1
-    # or a degree past the cap has no answer.
+    # parses, and only a negative order, a degree or max_n below 1, a
+    # weight other than -1 or a size past a cap has no answer.
     with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(_Discard()):
         code = main(argv)
     command = argv[0]
     if command == "lower":
         expected = 0 if int(argv[2]) >= 0 else 3
-    elif command == "coproduct":
+    elif command in ("coproduct", "count"):
         expected = 0 if MultiIndex.parse(argv[1]).weight() == -1 else 3
+    elif command == "oracle":
+        max_n = int(argv[argv.index("--max-n") + 1]) if "--max-n" in argv else 5
+        expected = 4 if max_n > 8 or "a,b,c" in argv else 0 if max_n >= 1 else 3
     elif command == "series":
         expected = 4 if int(argv[3]) > 12 else 0 if int(argv[3]) >= 1 else 3
     else:

@@ -8,6 +8,7 @@ import pytest
 from fibrecount.coproduct import (DECOMPOSITION_MODES, FORMS, _forest_splits, _right_leg,
                                   coproduct, coproduct_raw, coproduct_stream,
                                   forest_symmetry)
+from fibrecount.lowering import _LevelLayout
 from fibrecount.multiindex import (MultiIndex, PackedLayout, branch_multisets,
                                    enumerate_profiles, iter_profile_parts,
                                    multiindices_of_degree)
@@ -123,6 +124,12 @@ def test_raw_terms_expose_orders():
 
 # -- forest splits and right legs ----------------------------------------------------
 
+def _decoded_splits(k):
+    """`_forest_splits` with each remainder code decoded."""
+    layout = PackedLayout(k)
+    return [(forest, layout.decode(code)) for forest, code in _forest_splits(k, layout)]
+
+
 def _plain_splits(k):
     """The forest splits of k on multi-indices: inclusion by `includes`,
     removal by `-`, in the order `_forest_splits` yields them."""
@@ -156,7 +163,7 @@ def test_packed_forest_splits_match_plain_enumeration():
     profiles = (enumerate_profiles(("a", "b"), 7)
                 + enumerate_profiles(("a", "b", "c"), 5) + BOUNDARY_PROFILES)
     for k in profiles:
-        assert list(_forest_splits(k)) == _plain_splits(k), k
+        assert _decoded_splits(k) == _plain_splits(k), k
 
 
 def test_narrower_packed_fields_break_the_packed_paths(monkeypatch):
@@ -170,7 +177,7 @@ def test_narrower_packed_fields_break_the_packed_paths(monkeypatch):
     monkeypatch.setattr(PackedLayout, "field_width",
                         staticmethod(lambda count: count.bit_length()))
     for k in BOUNDARY_PROFILES:
-        assert list(_forest_splits(k)) != _plain_splits(k), k
+        assert _decoded_splits(k) != _plain_splits(k), k
         assert ordinary_count(k) != counts[k], k
         # A chain's branch multisets are single parts found by their codes,
         # with no subtraction; a binary vertex's need one.
@@ -183,9 +190,9 @@ def test_one_right_leg_per_remainder(monkeypatch, mode):
     calls = []
     expand = coproduct_module._right_leg
 
-    def counted(b, r, form):
+    def counted(b, r, form, layout):
         calls.append((b, r, form))
-        return expand(b, r, form)
+        return expand(b, r, form, layout)
 
     monkeypatch.setattr(coproduct_module, "_right_leg", counted)
     shared = 0
@@ -218,7 +225,7 @@ def test_forest_splits_come_in_print_order(mode):
     # sort: their keys must rise strictly, in both decomposition modes.
     profiles = enumerate_profiles(("a", "b"), 7) + enumerate_profiles(("a", "b", "c"), 5)
     for k in profiles:
-        keys = [_forest_key(forest) for forest, _ in _forest_splits(k)]
+        keys = [_forest_key(forest) for forest, _ in _forest_splits(k, PackedLayout(k))]
         assert all(a < b for a, b in zip(keys, keys[1:])), k
         raw = coproduct_raw(k, mode)
         assert [_forest_key(term.forest) for term in raw] == keys, k
@@ -227,23 +234,26 @@ def test_forest_splits_come_in_print_order(mode):
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("mode", DECOMPOSITION_MODES)
 def test_coproduct_is_the_dict_of_the_stream(form, mode):
-    # The dict reads the stream; the stream's legs are sorted and formatted
-    # once, and every term is the prefactor times the leg's coefficient.
+    # The dict reads the stream; the stream's legs are sorted once, as
+    # multi-indices or as their text, and every term is the prefactor times
+    # the leg's coefficient.
     for k in enumerate_profiles(("a", "b"), 5):
         stream = list(coproduct_stream(k, form, mode))
         rows = {(forest, mono): Fraction(num * n, den * d)
-                for forest, num, den, leg in stream for mono, _, n, d in leg}
+                for forest, num, den, leg in stream for mono, n, d in leg}
         assert coproduct(k, form, mode) == rows, k
-        reference = {(term.forest, mono): term.prefactor * c
+        layout = _LevelLayout(k)
+        reference = {(term.forest, layout.columns.decode(code)): term.prefactor * c
                      for term in coproduct_raw(k, mode)
-                     for mono, c in _right_leg(term.remainder, term.order, form).items()}
+                     for code, c in _right_leg(term.remainder, term.order, form, layout).items()}
         assert rows == reference, k
         assert [forest for forest, *_ in stream] == [t.forest for t in coproduct_raw(k, mode)]
-        for _, num, den, leg in stream:
-            assert math.gcd(num, den) == 1
+        texts = list(coproduct_stream(k, form, mode, text=True))
+        for (_, num, den, leg), (_, *prefactor, text_leg) in zip(stream, texts, strict=True):
+            assert math.gcd(num, den) == 1 and prefactor == [num, den]
             assert [mono.sort_key() for mono, *_ in leg] == sorted(
                 mono.sort_key() for mono, *_ in leg)
-            assert all(text == str(mono) for mono, text, _, _ in leg)
+            assert text_leg == [(str(mono), n, d) for mono, n, d in leg]
 
 
 def test_stream_checks_its_arguments_before_the_first_split():

@@ -5,13 +5,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fibrecount.multiindex import (MultiIndex, apply_shift,
                                    enumerate_multiindices, find_shift,
                                    multiindices_of_degree, unit)
 from fibrecount import lowering
-from fibrecount.lowering import (_c_levels, _d_levels, apply_lowering, c_coefficient,
+from fibrecount.lowering import (_c_levels, _d_levels, _LevelLayout, apply_lowering, c_coefficient,
                                  c_coefficient_level, c_coefficient_tables,
                                  coefficient_gf, d_coefficient,
                                  d_coefficient_level, d_coefficient_recursive,
@@ -230,10 +230,10 @@ KEYS = [(a, j) for a in "abc" for j in range(-1, 5)]
 
 
 @st.composite
-def boundary_monomials(draw):
+def boundary_monomials(draw, max_exponent=5):
     # |k| = 2^m - 1 or 2^m: the degrees at which the fields of the packed
     # level states, |k|.bit_length() + 1 bits wide, fill up or widen.
-    degree = 2 ** draw(st.integers(0, 5)) - draw(st.integers(0, 1))
+    degree = 2 ** draw(st.integers(0, max_exponent)) - draw(st.integers(0, 1))
     keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=5, unique=True))
     cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=len(keys) - 1,
                                 max_size=len(keys) - 1)))
@@ -253,6 +253,39 @@ def test_level_rows_at_field_width_boundaries(k, r):
     assert set(d_rows) == _shifted_rows(k, {low: c * apply_shift(k, low).symmetry_factor()
                                             for low, c in c_table.items()})
     assert all(v >= 1 for _, _, v in c_rows + d_rows)
+
+
+def _decoded_levels(walk):
+    # Every level of one route's (layout, levels) as {(l, target): value}.
+    layout, levels = walk
+    return [{(layout.lows.decode(state), layout.columns.decode(layout.target_code(state))): v
+             for state, v in level.items()} for level in levels]
+
+
+@st.composite
+def boundary_pairs(draw):
+    # k at |k| = 2^m - 1 or 2^m, so the count fields of k's layout fill up
+    # or widen, and any b <= k.
+    k = draw(boundary_monomials(max_exponent=4))
+    b = MultiIndex({key: draw(st.integers(0, c)) for key, c in k.items()})
+    return k, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_pairs())
+@example((mi("a:-1=1,a:0=7,b:2=8"), mi("a:0=3,b:2=1")))
+@example((mi("a:-1=15,a:1=1"), mi("a:-1=15")))
+def test_levels_of_b_walked_in_the_layout_of_k_are_its_own(pair):
+    # The refined coproduct legs walk each remainder b from its start in
+    # the one `_LevelLayout(k)` of their call: every level, up to order
+    # weight(b) + 1, decodes to the same l, target and value as the walk
+    # in b's own layout, for the C and the D route.
+    k, b = pair
+    shared, top = _LevelLayout(k), max(b.weight() + 1, 0)
+    for levels_fn in (_c_levels, _d_levels):
+        in_k = _decoded_levels(levels_fn(b, top, shared))
+        assert in_k == _decoded_levels(levels_fn(b, top)), (k, b, levels_fn)
+        assert len(in_k) <= top + 1 and list(in_k[0]) == [(MultiIndex(), b)]
 
 
 def test_level_rows_edge_cases():

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fibrecount.multiindex import (MultiIndex, PackedLayout, ParseError,
-                                   apply_shift, branch_multisets, entries_text,
+from fibrecount.multiindex import (READER_TABLE, MultiIndex, PackedLayout, ParseError,
+                                   apply_shift, branch_multisets, entries_text, entry_label,
                                    enumerate_multiindices, enumerate_profiles,
                                    find_shift, iter_profile_parts, unit)
 from fibrecount.trees import fibres_of_degree
@@ -192,6 +193,28 @@ def test_layout_decodes_every_code_in_the_box(shape, c):
         assert layout.symmetry_factor(code) == m.symmetry_factor()
         codes.add(code)
     assert len(codes) == math.prod(count + 1 for _, count in box.items())
+
+
+@pytest.mark.parametrize("c", [READER_TABLE - 1, READER_TABLE, 10 ** 5])
+def test_reader_labels_counts_past_its_table(c):
+    # A reader makes the labels of counts below READER_TABLE up front and
+    # labels a larger count as it reads it: both read as `entries`, and a
+    # box of huge counts holds no table as large as its counts.
+    box = mi(f"a:-1={c},a:0=3,b:2={c}")
+    layout = PackedLayout(box)
+    tracemalloc.start()
+    try:
+        read = layout.reader(entry_label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    entries = layout.reader(lambda key, count: (key, count))
+    for counts in itertools.product((0, 1, READER_TABLE - 1, c), (0, 3), (0, c - 1, c)):
+        m = MultiIndex(zip([key for key, _ in box.items()], counts))
+        code = layout.code(m)
+        assert (",".join(read(code)) or "0") == str(m)
+        assert entries(code) == layout.entries(code) == m.items()
 
 
 @pytest.mark.parametrize("c", LAYOUT_COUNTS)
